@@ -7,6 +7,7 @@ Monte Carlo against exact oracles.
 
 from .errors import (
     CarrierMismatchError,
+    ConvergenceError,
     DegreeOverflowError,
     EnsembleRequiredError,
     NoEndomorphismError,

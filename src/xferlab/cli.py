@@ -247,7 +247,7 @@ def run_sample(cfg):
         claims.append(
             _claim("mc_within_sigma", mean - exact, level * max(stderr, 1e-15), "abs<=tol")
         )
-    return report, claims
+    return report, claims, ens
 
 
 def run_invariance(cfg):
@@ -470,15 +470,9 @@ def main(argv=None) -> int:
         print(f"config fails validation: {exc.message}", file=sys.stderr)
         return 2
 
-    csv_payload = None
     try:
-        if args.task == "smale-williams":
-            report, claims, orbit = RUNNERS[args.task](cfg)
-            csv_payload = orbit
-        elif args.task == "sample":
-            report, claims = RUNNERS[args.task](cfg)
-        else:
-            report, claims = RUNNERS[args.task](cfg)
+        # runners with tabular output (sample, smale-williams) return it third
+        report, claims, *table = RUNNERS[args.task](cfg)
     except (ValueError, KeyError, XferlabError) as exc:
         print(f"config is inconsistent: {exc}", file=sys.stderr)
         return 2
@@ -497,29 +491,18 @@ def main(argv=None) -> int:
         else:
             print(text)
         if args.csv:
-            _write_csv(args, cfg, csv_payload)
+            _write_csv(args.csv, table[0] if table else None)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 3
     return 0 if report["pass"] else 1
 
 
-def _write_csv(args, cfg, csv_payload) -> None:
-    if args.task == "smale-williams" and csv_payload is not None:
-        header = "t,re_z,im_z"
-        np.savetxt(args.csv, csv_payload, delimiter=",", header=header, comments="")
-    elif args.task == "sample":
-        space = space_from_json(cfg["space"])
-        R = operator_from_json(space, cfg["operator"])
-        root = cfg["root"]
-        if isinstance(root, dict):
-            root = measure_from_json(space, root, R)
-        else:
-            root = _point(space, root)
-        ens = pathmeasure.sample_paths(
-            R, root, int(cfg["depth"]), int(cfg["count"]), int(cfg["seed"])
-        )
-        ens.to_csv(args.csv)
+def _write_csv(path, table) -> None:
+    if isinstance(table, pathmeasure.PathEnsemble):
+        table.to_csv(path)
+    elif table is not None:
+        np.savetxt(path, table, delimiter=",", header="t,re_z,im_z", comments="")
     else:
         raise OSError("this task has no tabular output")
 

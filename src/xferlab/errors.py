@@ -33,5 +33,9 @@ class NormalizationError(XferlabError, ValueError):
     """A kernel, row, or filter violates its normalization constraint."""
 
 
+class ConvergenceError(XferlabError):
+    """An iterative solver reached its iteration cap without certifying convergence."""
+
+
 class ReducibleChainWarning(UserWarning):
     """The stationary distribution is not unique; an arbitrary fixed point is returned."""

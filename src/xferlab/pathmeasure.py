@@ -7,6 +7,16 @@ The measure P_x is defined through its cylinder expectations
 computed right-to-left; Sigma^(mu) averages E_x against mu.  Exact evaluation
 is restricted to the cylinder algebra (products of finitely many coordinate
 observables); everything else goes through seeded Monte Carlo ensembles.
+
+On finite carriers both walkers (``sample_paths`` and ``simulate_absorbing``)
+take one inverse-CDF step: from state x with a uniform draw u in [0, 1), the
+next state is the number of entries of row x of the cumulative table below u.
+The table is the row-wise cumulative sum of K, pinned to 1.0 from the entry
+where the row reaches its total on, so a row whose float sum falls just short
+of 1 never yields index n or a state of probability zero.  The step finds the
+count by bisection, in ceil(log2 n) vectorised rounds; outside that rounding
+gap it returns exactly the index of the O(n) count, so the mapping from seed
+to paths is the one of xferlab 0.1.0.
 """
 
 from __future__ import annotations
@@ -223,8 +233,35 @@ def sample_paths(
     return _sample_circle(R, root, n, count, seed)
 
 
+def _cdf_table(kernel) -> np.ndarray:
+    """Row-wise cumulative sums of a stochastic kernel, 1.0 wherever a row has reached its total."""
+    cum = np.cumsum(kernel, axis=1)
+    np.copyto(cum, 1.0, where=cum >= cum[:, -1:])
+    return cum
+
+
+def _next_states(table: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The sampling step: for each walker i, the number of entries of table[x[i]] below u[i].
+
+    Along a row the test ``entry < u`` holds on a prefix (the row is
+    nondecreasing up to its pinned 1.0 tail and u < 1), so a branchless
+    bisection finds the prefix length; indices past the row end read its 1.0.
+    """
+    n = table.shape[1]
+    flat = table.ravel()
+    base = x * n
+    end = base + (n - 1)
+    pos = np.zeros_like(x)
+    step = (1 << (n - 1).bit_length()) >> 1
+    while step:
+        cand = pos + step
+        pos = np.where(flat.take(np.minimum(base + cand - 1, end)) < u, cand, pos)
+        step >>= 1
+    return pos
+
+
 def _sample_finite(R: MatrixOperator, root, n, count, seed) -> PathEnsemble:
-    cum = np.cumsum(R.kernel, axis=1)
+    table = _cdf_table(R.kernel)
     out = np.empty((count, n), dtype=np.intp)
     pos = 0
     for ci, size in enumerate(chunk_sizes(count)):
@@ -235,8 +272,7 @@ def _sample_finite(R: MatrixOperator, root, n, count, seed) -> PathEnsemble:
             x = np.full(size, int(root), dtype=np.intp)
         out[pos : pos + size, 0] = x
         for step in range(1, n):
-            u = rng.random(size)
-            x = (u[:, None] > cum[x]).sum(axis=1)
+            x = _next_states(table, x, rng.random(size))
             out[pos : pos + size, step] = x
         pos += size
     return PathEnsemble(R.space, root, n, out, seed, R.fingerprint())
@@ -284,7 +320,7 @@ def simulate_absorbing(
     Returns (final state per walk, number of walks that hit the cap); capped
     walks are reported, never silently dropped.
     """
-    cum = np.cumsum(kernel, axis=1)
+    table = _cdf_table(kernel)
     finals = np.empty(count, dtype=np.intp)
     capped = 0
     pos = 0
@@ -295,8 +331,7 @@ def simulate_absorbing(
         steps = 0
         while np.any(active) and steps < step_cap:
             idx = np.nonzero(active)[0]
-            u = rng.random(idx.size)
-            x[idx] = (u[:, None] > cum[x[idx]]).sum(axis=1)
+            x[idx] = _next_states(table, x[idx], rng.random(idx.size))
             active[idx] = ~absorbing[x[idx]]
             steps += 1
         capped += int(np.count_nonzero(active))

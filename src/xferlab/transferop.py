@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     CarrierMismatchError,
+    ConvergenceError,
     NoEndomorphismError,
     NormalizationError,
     ReducibleChainWarning,
@@ -88,14 +89,8 @@ class MatrixOperator(TransferOperator):
             raise ValueError("k must be >= 0")
         return MatrixOperator(self.space, np.linalg.matrix_power(self.kernel, k))
 
-    def unitality_residual(self) -> float:
-        return float(np.max(np.abs(self.kernel.sum(axis=1) - 1.0)))
-
-    def transition_row(self, i: int) -> np.ndarray:
-        return self.kernel[i]
-
     def fingerprint(self) -> str:
-        h = hashlib.sha256(np.ascontiguousarray(self.kernel).tobytes())
+        h = hashlib.sha256(np.ascontiguousarray(self.kernel))
         return "matrix:" + h.hexdigest()[:16]
 
 
@@ -241,15 +236,73 @@ def adjoint_apply(R: TransferOperator, mu: Measure, psi: Observable) -> Observab
     return Observable.from_fourier(R.space, convolve_coeffs(two_w, doubled))
 
 
+def _closed_class_count(kernel: np.ndarray) -> int:
+    """Number of closed communicating classes of the chain on the support of the kernel.
+
+    Tarjan's strongly connected components on the graph {(x, y): K[x, y] > 0},
+    iterative and O(states + edges); a component is closed when no edge leaves it.
+    """
+    n = len(kernel)
+    rows, cols = np.nonzero(kernel > 0)
+    start = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    succ = cols.tolist()
+    index = [0] * n  # discovery number, 0 while unvisited
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = ncomp = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        counter += 1
+        index[root] = low[root] = counter
+        stack.append(root)
+        work = [[root, start[root]]]
+        while work:
+            frame = work[-1]
+            v, e = frame
+            if e < start[v + 1]:
+                frame[1] = e + 1
+                w = succ[e]
+                if not index[w]:
+                    counter += 1
+                    index[w] = low[w] = counter
+                    stack.append(w)
+                    work.append([w, start[w]])
+                elif comp[w] < 0:
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    label = np.array(comp)
+    leaving = label[rows] != label[cols]
+    return ncomp - len(np.unique(label[rows[leaving]]))
+
+
 def invariant_measure(R: TransferOperator) -> Measure:
     """A probability measure with mu o R = mu.
 
-    Finite carriers: direct linear solve up to 64 states, power iteration
-    beyond.  If the fixed point is not unique a ReducibleChainWarning is
-    emitted and one fixed point is returned.  On the circle, Haar is returned
-    exactly when the invariance identity holds on the character basis (which
-    forces the uniform weight W = 1/2); otherwise no representable invariant
-    measure exists and a ValueError is raised.
+    Finite carriers: a ReducibleChainWarning is emitted when the chain has
+    more than one closed class (the fixed point is then not unique, and one
+    is returned).  The measure is a direct linear solve up to 64 states;
+    beyond, power iteration on the lazy chain (I + K)/2, which has the same
+    stationary laws and is aperiodic, so periodic chains converge too.  It
+    stops once a lazy step moves mu by less than 1e-13 in sup norm, that is
+    |mu K - mu| < 2e-13, and raises ConvergenceError if that has not
+    happened after POWER_ITER_MAX steps.
+    On the circle, Haar is returned exactly when the invariance identity
+    holds on the character basis (which forces the uniform weight W = 1/2);
+    otherwise no representable invariant measure exists and a ValueError is
+    raised.
     """
     if isinstance(R, CircleRuelleOperator):
         # mu o R = mu on characters e_n reads 2 W_{-n} = delta_{n,0}
@@ -262,13 +315,12 @@ def invariant_measure(R: TransferOperator) -> Measure:
         return Measure.haar_measure(R.space)
     k = R.kernel
     n = R.space.n
+    if _closed_class_count(k) > 1:
+        warnings.warn(
+            "the chain has more than one closed class; returning one fixed point",
+            ReducibleChainWarning,
+        )
     if n <= DIRECT_SOLVE_MAX:
-        eigvals = np.linalg.eigvals(k)
-        if np.sum(np.abs(eigvals - 1.0) < 1e-9) > 1:
-            warnings.warn(
-                "eigenvalue 1 has multiplicity > 1; returning one fixed point",
-                ReducibleChainWarning,
-            )
         a = np.vstack([k.T - np.eye(n), np.ones(n)])
         b = np.zeros(n + 1)
         b[-1] = 1.0
@@ -276,11 +328,15 @@ def invariant_measure(R: TransferOperator) -> Measure:
     else:
         w = np.full(n, 1.0 / n)
         for _ in range(POWER_ITER_MAX):
-            nxt = w @ k
-            if np.max(np.abs(nxt - w)) < POWER_ITER_TOL:
-                w = nxt
-                break
+            nxt = 0.5 * (w + w @ k)  # one step of the lazy chain (I + K)/2
+            moved = np.max(np.abs(nxt - w))
             w = nxt
+            if moved < POWER_ITER_TOL:
+                break
+        else:
+            raise ConvergenceError(
+                f"power iteration did not converge in {POWER_ITER_MAX} steps (last move {moved})"
+            )
     w = np.clip(w, 0.0, None)
     w /= w.sum()
     return Measure.from_weights(R.space, w)

@@ -83,6 +83,25 @@ class TestTasks:
         assert report["count"] == 2000
         assert len(csv_path.read_text().strip().splitlines()) == 2001
 
+    def test_sample_csv_reuses_the_reported_ensemble(self, tmp_path, monkeypatch):
+        from xferlab import pathmeasure
+
+        runs = []
+        real = pathmeasure.sample_paths
+
+        def counted(*args):
+            runs.append(real(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(pathmeasure, "sample_paths", counted)
+        cfg = {"space": TWO_STATE, "operator": CHAIN_OP, "root": 1, "depth": 4, "count": 50, "seed": 9}
+        csv_path = tmp_path / "paths.csv"
+        code, report = run(tmp_path, "sample", cfg, extra=["--csv", str(csv_path)])
+        assert code == 0 and len(runs) == 1
+        assert report["fingerprint"] == runs[0].fingerprint
+        rows = [line.split(",") for line in csv_path.read_text().strip().splitlines()[1:]]
+        assert rows == [["ab"[i] for i in path] for path in runs[0].samples]
+
     def test_invariance(self, tmp_path):
         cfg = {"space": TWO_STATE, "operator": CHAIN_OP}
         code, report = run(tmp_path, "invariance", cfg)
