@@ -35,6 +35,7 @@ from .statespace import (
     FiniteSpace,
     Measure,
     Observable,
+    horner,
     integrate,
     _check_same,
 )
@@ -168,27 +169,22 @@ class PathEnsemble:
     def count(self) -> int:
         return len(self.samples)
 
-    def paths(self):
-        return self.samples
-
-    def float_paths(self) -> np.ndarray:
-        """Angles as floats (circle) or state indices (finite), shape (count, depth)."""
-        if isinstance(self.space, FiniteSpace):
-            return self.samples
-        return np.array([[float(t) for t in path] for path in self.samples])
-
     def functional_mean(self, f) -> tuple[float, float]:
-        """Monte Carlo mean and standard error of a cylinder word or callable."""
-        if isinstance(self.space, FiniteSpace) and isinstance(
-            f, (CylinderFunctional, Observable)
-        ):
+        """Monte Carlo mean and standard error of a cylinder word or callable.
+
+        A word is evaluated one coordinate at a time across all paths.
+        """
+        if isinstance(f, (CylinderFunctional, Observable)):
             f = as_word(f)
+            if f.depth > self.depth:
+                raise ValueError(f"a word of depth {f.depth} needs paths of at least that depth")
             vals = np.ones(self.count, dtype=complex)
             for j, phi in enumerate(f.word):
-                vals *= np.asarray(phi.values)[self.samples[:, j]]
-        elif isinstance(f, (CylinderFunctional, Observable)):
-            f = as_word(f)
-            vals = np.array([f.evaluate(p) for p in self.samples], dtype=complex)
+                if phi.values is not None:
+                    vals *= np.asarray(phi.values)[self.samples[:, j]]
+                else:
+                    t = np.fromiter((float(p[j]) for p in self.samples), float, self.count)
+                    vals *= horner(phi.coeffs, phi.offset, np.exp(2j * np.pi * t))
         else:
             vals = np.array([f(p) for p in self.samples], dtype=complex)
         if np.max(np.abs(vals.imag)) < 1e-12:

@@ -2,7 +2,7 @@
 
 Complex numbers are encoded as two-element [re, im] arrays; plain numbers are
 accepted wherever a complex value is expected.  These loaders back the CLI
-config format and round-trip everything the library can represent exactly.
+config format; ``jsonify`` turns results into JSON types for the reports.
 """
 
 from __future__ import annotations
@@ -49,15 +49,6 @@ def space_from_json(d: Mapping[str, Any]) -> Space:
     raise ValueError(f"unknown space kind {kind!r}")
 
 
-def space_to_json(space: Space) -> dict:
-    if isinstance(space, FiniteSpace):
-        out = {"kind": "finite", "states": list(space.states)}
-        if space.endo is not None:
-            out["endo"] = list(space.endo)
-        return out
-    return {"kind": "circle", "degree": space.degree, "grid": space.grid}
-
-
 def observable_from_json(space: Space, d: Mapping[str, Any]) -> Observable:
     if "values" in d:
         vals = [complex_from_json(v) for v in d["values"]]
@@ -69,12 +60,6 @@ def observable_from_json(space: Space, d: Mapping[str, Any]) -> Observable:
         coeffs = {int(n): complex_from_json(c) for n, c in d["fourier"].items()}
         return Observable.from_fourier(space, coeffs)
     raise ValueError("an observable needs 'values' or 'fourier'")
-
-
-def observable_to_json(phi: Observable) -> dict:
-    if phi.values is not None:
-        return {"values": [complex_to_json(v) for v in np.asarray(phi.values)]}
-    return {"fourier": {str(n): complex_to_json(c) for n, c in sorted(phi.fourier.items())}}
 
 
 def measure_from_json(space: Space, d: Mapping[str, Any], R: TransferOperator | None = None) -> Measure:
@@ -119,10 +104,19 @@ def filter_from_json(d: Mapping[str, Any]) -> QMFFilter:
 
 
 def angle_from_json(v) -> Fraction:
-    """Exact angle: integer, 'p/q' string, or float that is exactly dyadic."""
+    """Exact angle mod 1 from an integer, an integral float, or a "p/q" string.
+
+    Any other value is refused: a float such as 0.1 would otherwise become its
+    binary expansion, a fraction with denominator 2^55.
+    """
     if isinstance(v, str):
+        try:
+            return Fraction(v) % 1
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()):
         return Fraction(v) % 1
-    return Fraction(v) % 1
+    raise ValueError(f'an angle must be an integer or a "p/q" string, not {v!r}')
 
 
 def jsonify(obj):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CarrierMismatchError, NormalizationError
+from .errors import CarrierMismatchError, NoEndomorphismError, NormalizationError
 from .pathmeasure import (
     CylinderFunctional,
     as_word,
@@ -45,23 +45,15 @@ class SolenoidWord:
         entries = tuple(self.entries)
         if len(entries) < 1:
             raise ValueError("a solenoid word needs at least one entry")
-        if isinstance(self.space, FiniteSpace):
-            for i in range(len(entries) - 1):
-                if self.space.apply_endo(entries[i + 1]) != entries[i]:
-                    raise ValueError(f"compatibility r(x_{i+2}) = x_{i+1} fails")
-        else:
+        if not isinstance(self.space, FiniteSpace):
             entries = tuple(Fraction(t) % 1 for t in entries)
-            for i in range(len(entries) - 1):
-                if (2 * entries[i + 1]) % 1 != entries[i]:
-                    raise ValueError(f"compatibility 2 t_{i+2} = t_{i+1} (mod 1) fails")
+        if incompatible_transitions(self.space, [entries]):
+            raise ValueError("compatibility r(x_{k+1}) = x_k fails")
         object.__setattr__(self, "entries", entries)
 
     @property
     def depth(self) -> int:
         return len(self.entries)
-
-    def head(self):
-        return self.entries[0]
 
 
 def shift(word: SolenoidWord) -> SolenoidWord:
@@ -81,16 +73,31 @@ def rhat(word: SolenoidWord) -> SolenoidWord:
     return SolenoidWord(word.space, (rx,) + word.entries)
 
 
-def is_compatible_path(space, entries) -> bool:
-    """Whether a raw sampled word satisfies the solenoid invariant (exactly)."""
+def incompatible_transitions(space, words) -> int:
+    """Number of transitions x_k -> x_{k+1} with r(x_{k+1}) != x_k in equal-length words.
+
+    The one solenoid compatibility test.  Circle words are angles in [0, 1):
+    with x_{k+1} = a/b and x_k = c/d, 2a/b = c/d (mod 1) iff (2ad - cb) mod
+    bd = 0.  Every product is below 2bd, so int64 holds it while each
+    denominator is below 2^31; beyond, the test runs on Python ints.
+    """
     if isinstance(space, FiniteSpace):
-        return all(
-            space.apply_endo(entries[i + 1]) == entries[i] for i in range(len(entries) - 1)
-        )
-    return all(
-        (2 * Fraction(entries[i + 1])) % 1 == Fraction(entries[i]) % 1
-        for i in range(len(entries) - 1)
-    )
+        if space.endo is None:
+            raise NoEndomorphismError("compatibility is defined relative to an endomorphism")
+        x = np.asarray(words)
+        return int(np.count_nonzero(np.asarray(space.endo)[x[:, 1:]] != x[:, :-1]))
+    shape = (len(words), len(words[0]) if words else 0)
+    size = shape[0] * shape[1]
+    try:
+        den = np.fromiter((t.denominator for w in words for t in w), np.int64, size)
+    except OverflowError:  # a denominator of 2^63 or more
+        den = np.fromiter((t.denominator for w in words for t in w), object, size)
+    if den.max(initial=1) >= 2**31:
+        den = den.astype(object)
+    num = np.fromiter((t.numerator for w in words for t in w), den.dtype, den.size)
+    num, den = num.reshape(shape), den.reshape(shape)
+    a, b, c, d = num[:, 1:], den[:, 1:], num[:, :-1], den[:, :-1]
+    return int(np.count_nonzero((2 * a * d - c * b) % (b * d)))
 
 
 def support_mass(R: TransferOperator, x, n: int) -> float:
@@ -98,11 +105,16 @@ def support_mass(R: TransferOperator, x, n: int) -> float:
 
     Exactly 1 when the pull-out axiom holds (the walk only moves backward
     along r); < 1 is the negative-control signal.  Monotone nonincreasing
-    in n.  Computed as total mass minus the mass of incompatible prefixes,
-    so the certificate of full support does not depend on float telescoping.
+    in n.  On a finite carrier: the mass that survives n - 1 steps along r.
+    On the circle it is 1 by construction: both branches of every backward
+    step are preimages (CircleSpace.preimages), and construction checked
+    R1 = 1.  n counts the entries of a word, which has at least one, so
+    n < 1 is refused on both carriers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if isinstance(R, CircleRuelleOperator):
+        return 1.0
     if isinstance(R, MatrixOperator):
         space = R.space
         endo = np.asarray(space.endo)
@@ -114,38 +126,11 @@ def support_mass(R: TransferOperator, x, n: int) -> float:
                 nxt[y] = mass[endo[y]] * R.kernel[endo[y], y]
             mass = nxt
         return float(mass.sum())
-    # circle: enumerate the backward branch tree with exact angles
-    incompatible = 0.0
-    stack = [(Fraction(x) % 1, 1.0, 0)]
-    while stack:
-        t, w, depth = stack.pop()
-        if depth == n - 1:
-            continue
-        for u, p in R.transition_weights(t):
-            if (2 * u) % 1 != t:
-                incompatible += w * p
-            else:
-                stack.append((u, w * p, depth + 1))
-    return 1.0 - incompatible
 
 
 def ensemble_compatibility_violations(ensemble) -> int:
     """Number of sampled transitions violating the solenoid invariant."""
-    bad = 0
-    if isinstance(ensemble.space, FiniteSpace):
-        if ensemble.space.endo is None:
-            from .errors import NoEndomorphismError
-
-            raise NoEndomorphismError("compatibility is defined relative to an endomorphism")
-        endo = np.asarray(ensemble.space.endo)
-        samples = ensemble.samples
-        bad = int(np.count_nonzero(endo[samples[:, 1:]] != samples[:, :-1]))
-    else:
-        for path in ensemble.samples:
-            for i in range(len(path) - 1):
-                if (2 * path[i + 1]) % 1 != path[i] % 1:
-                    bad += 1
-    return bad
+    return incompatible_transitions(ensemble.space, ensemble.samples)
 
 
 def shift_invariance_residual(mu: Measure, R: TransferOperator, words) -> float:
@@ -249,10 +234,8 @@ def covariance_check(
 
 def rotate_observable(phi: Observable, t: Fraction) -> Observable:
     """phi(. * e^{2 pi i t}): multiply coefficient n by e^{2 pi i n t}."""
-    return Observable.from_fourier(
-        phi.space,
-        {n: c * cmath.exp(2j * cmath.pi * n * float(t)) for n, c in phi.fourier.items()},
-    )
+    n = np.arange(phi.offset, phi.offset + phi.coeffs.size)
+    return Observable.from_coeffs(phi.space, phi.coeffs * np.exp(2j * np.pi * n * float(t)), phi.offset)
 
 
 def translate_word(f: CylinderFunctional, translate: SolenoidWord) -> CylinderFunctional:

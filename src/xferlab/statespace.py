@@ -5,14 +5,16 @@ labelled states, optionally equipped with an onto self-map (which on a finite
 set is necessarily a bijection, so genuine N-to-1 dynamics live on the
 circle).  ``CircleSpace`` is the unit circle under the doubling map, with the
 function algebra truncated to Laurent polynomials of a fixed maximal degree;
-inside the truncation all algebra is exact, and anything that would leave it
-raises ``DegreeOverflowError`` instead of silently truncating.
+anything that would leave the truncation raises ``DegreeOverflowError``
+instead of silently truncating.
+A circle observable is a dense coefficient array plus the index of its first
+entry; README.md says which identities on it are exact in floating point.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -112,27 +114,53 @@ def _check_same(a: Space, b: Space) -> None:
         raise CarrierMismatchError(f"carriers differ: {a!r} vs {b!r}")
 
 
-def convolve_coeffs(a: Mapping[int, complex], b: Mapping[int, complex]) -> dict[int, complex]:
-    """Coefficient convolution (pointwise product of the polynomials), unchecked."""
-    out: dict[int, complex] = {}
-    for n, cn in a.items():
-        for m, cm in b.items():
-            out[n + m] = out.get(n + m, 0) + cn * cm
-    return {k: v for k, v in out.items() if v != 0}
+def dense_coeffs(coeffs: Mapping[int, complex]) -> tuple[np.ndarray, int]:
+    """A coefficient map as a dense array and the index of its first entry, zeros pruned."""
+    pruned = {int(n): complex(c) for n, c in coeffs.items() if c != 0}
+    offset = min(pruned, default=0)
+    out = np.zeros(max(pruned, default=offset - 1) - offset + 1, dtype=complex)
+    out[np.fromiter(pruned, int, len(pruned)) - offset] = list(pruned.values())
+    return out, offset
+
+
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient convolution of two dense arrays (pointwise product of the polynomials)."""
+    return np.convolve(a, b) if a.size and b.size else a[:0]
+
+
+def doubled(coeffs: np.ndarray) -> np.ndarray:
+    """The stride-2 scatter taking the coefficients of phi to those of phi o r."""
+    out = np.zeros(max(2 * coeffs.size - 1, 0), dtype=complex)
+    out[::2] = coeffs
+    return out
+
+
+def horner(coeffs: np.ndarray, offset: int, z):
+    """sum_j coeffs[j] z^(offset + j) at one unit-modulus point z or an array of them.
+
+    Horner's rule runs over the coefficients and is vectorised across the
+    points, so memory stays O(points) at any degree.
+    """
+    acc = 0j
+    for c in reversed(coeffs.tolist()):
+        acc = acc * z + c
+    return acc * z**offset
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A function on a carrier.
 
-    Finite carrier: a value per state.  Circle: a sparse map of Fourier
-    coefficients n -> c_n with |n| <= space.degree; the function is
-    sum c_n z^n.
+    Finite carrier: a value per state.  Circle: the Laurent polynomial
+    sum_j coeffs[j] z^(offset + j), with coeffs a complex array whose first
+    and last entries are nonzero (empty for the zero function) and every
+    index within space.degree in absolute value.
     """
 
     space: Space
     values: np.ndarray | None = None
-    fourier: dict[int, complex] | None = None
+    coeffs: np.ndarray | None = None
+    offset: int = 0
 
     # -- constructors ------------------------------------------------------
 
@@ -144,25 +172,33 @@ class Observable:
         return cls(space, values=arr)
 
     @classmethod
-    def from_fourier(cls, space: CircleSpace, coeffs: Mapping[int, complex]) -> "Observable":
-        pruned = {int(n): complex(c) for n, c in coeffs.items() if c != 0}
-        deg = max((abs(n) for n in pruned), default=0)
-        if deg > space.degree:
+    def from_coeffs(cls, space: CircleSpace, coeffs, offset: int = 0) -> "Observable":
+        """coeffs[j] is the coefficient of z^(offset + j); the array is trimmed, not copied."""
+        c = np.asarray(coeffs, dtype=complex)
+        if not (c.size and c[0] and c[-1]):  # trim the zero ends
+            nz = np.flatnonzero(c)
+            c, offset = (c[nz[0] : nz[-1] + 1], offset + int(nz[0])) if nz.size else (c[:0], 0)
+        phi = cls(space, coeffs=c, offset=offset)
+        if phi.degree > space.degree:
             raise DegreeOverflowError(
-                f"coefficient index {deg} exceeds the degree bound {space.degree}"
+                f"coefficient index {phi.degree} exceeds the degree bound {space.degree}"
             )
-        return cls(space, fourier=pruned)
+        return phi
+
+    @classmethod
+    def from_fourier(cls, space: CircleSpace, coeffs: Mapping[int, complex]) -> "Observable":
+        return cls.from_coeffs(space, *dense_coeffs(coeffs))
 
     @classmethod
     def constant(cls, space: Space, c=1.0) -> "Observable":
         if isinstance(space, CircleSpace):
-            return cls.from_fourier(space, {0: c} if c != 0 else {})
+            return cls.from_coeffs(space, np.array([c], dtype=complex))
         return cls.from_values(space, np.full(space.n, c))
 
     @classmethod
     def character(cls, space: CircleSpace, n: int) -> "Observable":
         """e_n(z) = z^n."""
-        return cls.from_fourier(space, {n: 1.0})
+        return cls.from_coeffs(space, np.ones(1, dtype=complex), n)
 
     @classmethod
     def indicator(cls, space: FiniteSpace, i: int) -> "Observable":
@@ -173,20 +209,18 @@ class Observable:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        if self.fourier is None:
-            raise TypeError("degree is only defined on the circle carrier")
-        return max((abs(n) for n in self.fourier), default=0)
+    def fourier(self) -> dict[int, complex] | None:
+        """The nonzero coefficients n -> c_n (circle), derived from the array; None on finite carriers."""
+        if self.coeffs is None:
+            return None
+        nz = np.flatnonzero(self.coeffs)
+        return dict(zip((nz + self.offset).tolist(), self.coeffs[nz].tolist()))
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        if self.values is not None:
-            return not np.iscomplexobj(self.values) or float(
-                np.max(np.abs(self.values.imag))
-            ) <= tol
-        return all(
-            abs(c - self.fourier.get(-n, 0).conjugate()) <= tol
-            for n, c in self.fourier.items()
-        )
+    @property
+    def degree(self) -> int:
+        if self.coeffs is None:
+            raise TypeError("degree is only defined on the circle carrier")
+        return max(-self.offset, self.offset + self.coeffs.size - 1, 0)
 
     # -- evaluation --------------------------------------------------------
 
@@ -195,18 +229,15 @@ class Observable:
         if self.values is not None:
             return self.values[x]
         z = x if isinstance(x, complex) else angle_point(x)
-        return sum(c * z**n for n, c in self.fourier.items())
+        return horner(self.coeffs, self.offset, z)
 
     def eval_grid(self, size: int | None = None) -> np.ndarray:
         """Values on the uniform angle grid k/size, k=0..size-1 (circle only)."""
-        if self.fourier is None:
+        if self.coeffs is None:
             raise TypeError("eval_grid is only defined on the circle carrier")
         size = size or self.space.grid
-        theta = np.arange(size) / size
-        out = np.zeros(size, dtype=complex)
-        for n, c in self.fourier.items():
-            out += c * np.exp(2j * np.pi * n * theta)
-        return out
+        z = np.exp(2j * np.pi * np.arange(size) / size)
+        return horner(self.coeffs, self.offset, z)
 
     # -- algebra -----------------------------------------------------------
 
@@ -219,10 +250,11 @@ class Observable:
         self._like(other)
         if self.values is not None:
             return Observable.from_values(self.space, self.values + other.values)
-        out = dict(self.fourier)
-        for n, c in other.fourier.items():
-            out[n] = out.get(n, 0) + c
-        return Observable.from_fourier(self.space, out)
+        low = min(self.offset, other.offset)
+        out = np.zeros(max(p.offset + p.coeffs.size for p in (self, other)) - low, dtype=complex)
+        for p in (self, other):
+            out[p.offset - low : p.offset - low + p.coeffs.size] += p.coeffs
+        return Observable.from_coeffs(self.space, out, low)
 
     def __sub__(self, other: "Observable") -> "Observable":
         return self + (-1.0) * other
@@ -231,14 +263,12 @@ class Observable:
         if not isinstance(other, Observable):
             if self.values is not None:
                 return Observable.from_values(self.space, self.values * other)
-            return Observable.from_fourier(
-                self.space, {n: c * other for n, c in self.fourier.items()}
-            )
+            return Observable.from_coeffs(self.space, self.coeffs * other, self.offset)
         self._like(other)
         if self.values is not None:
             return Observable.from_values(self.space, self.values * other.values)
-        return Observable.from_fourier(
-            self.space, convolve_coeffs(self.fourier, other.fourier)
+        return Observable.from_coeffs(
+            self.space, convolve(self.coeffs, other.coeffs), self.offset + other.offset
         )
 
     __rmul__ = __mul__
@@ -246,22 +276,20 @@ class Observable:
     def conj(self) -> "Observable":
         if self.values is not None:
             return Observable.from_values(self.space, np.conj(self.values))
-        return Observable.from_fourier(
-            self.space, {-n: c.conjugate() for n, c in self.fourier.items()}
+        return Observable.from_coeffs(
+            self.space, self.coeffs[::-1].conj(), -(self.offset + self.coeffs.size - 1)
         )
 
     def sup_norm(self, grid: int | None = None) -> float:
         if self.values is not None:
             return float(np.max(np.abs(self.values))) if self.space.n else 0.0
-        if not self.fourier:
-            return 0.0
         return float(np.max(np.abs(self.eval_grid(grid))))
 
     def coeff_norm(self) -> float:
         """Max absolute Fourier coefficient (circle); max abs value (finite)."""
         if self.values is not None:
             return self.sup_norm()
-        return max((abs(c) for c in self.fourier.values()), default=0.0)
+        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +333,8 @@ def integrate(mu: Measure, phi: Observable):
     """integral of phi against mu: a weighted sum, or the 0th Fourier coefficient."""
     _check_same(mu.space, phi.space)
     if mu.haar:
-        return phi.fourier.get(0, 0.0)
+        j = -phi.offset
+        return complex(phi.coeffs[j]) if 0 <= j < phi.coeffs.size else 0.0
     val = np.dot(mu.weights, phi.values)
     return complex(val) if np.iscomplexobj(phi.values) else float(val)
 
@@ -319,7 +348,7 @@ def compose_with_endo(phi: Observable) -> Observable:
     """phi o r.  On the circle this doubles every Fourier index."""
     space = phi.space
     if isinstance(space, CircleSpace):
-        return Observable.from_fourier(space, {2 * n: c for n, c in phi.fourier.items()})
+        return Observable.from_coeffs(space, doubled(phi.coeffs), 2 * phi.offset)
     if space.endo is None:
         raise NoEndomorphismError("space has no endomorphism")
     return Observable.from_values(space, phi.values[np.asarray(space.endo)])
@@ -333,9 +362,8 @@ def fiber_average(phi: Observable) -> Observable:
     """
     space = phi.space
     if isinstance(space, CircleSpace):
-        return Observable.from_fourier(
-            space, {n // 2: c for n, c in phi.fourier.items() if n % 2 == 0}
-        )
+        start = phi.offset % 2  # position of the first even index
+        return Observable.from_coeffs(space, phi.coeffs[start::2], (phi.offset + start) // 2)
     out = np.empty(space.n, dtype=phi.values.dtype)
     for i in range(space.n):
         fib = space.fiber(i)

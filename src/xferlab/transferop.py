@@ -35,7 +35,10 @@ from .statespace import (
     Observable,
     angle_point,
     compose_with_endo,
-    convolve_coeffs,
+    convolve,
+    dense_coeffs,
+    doubled,
+    horner,
     _check_same,
 )
 
@@ -99,7 +102,8 @@ class CircleRuelleOperator(TransferOperator):
     """Ruelle operator for the doubling map with weight W = |m0|^2 / 2.
 
     ``weight`` holds the Fourier coefficients of W; ``m0`` (optional) those of
-    the generating filter, needed for the adjoint formula.
+    the generating filter, needed for the adjoint formula.  ``apply`` and
+    ``adjoint_apply`` convolve with a dense copy of W; the walk reads ``weight``.
     """
 
     space: CircleSpace
@@ -117,19 +121,21 @@ class CircleRuelleOperator(TransferOperator):
                     raise NormalizationError(
                         f"weight violates R1=1: coefficient W_{n} = {c}"
                     )
+        dense, offset = dense_coeffs(w)
+        object.__setattr__(self, "_w", dense)
+        object.__setattr__(self, "_w_offset", offset)
         grid = max(8 * self.space.degree, 16)
-        theta = np.arange(grid) / grid
-        vals = np.zeros(grid, dtype=complex)
-        for n, c in w.items():
-            vals += c * np.exp(2j * np.pi * n * theta)
+        vals = horner(dense, offset, np.exp(2j * np.pi * np.arange(grid) / grid))
         if np.max(np.abs(vals.imag)) > POSITIVITY_TOL or np.min(vals.real) < -POSITIVITY_TOL:
             raise NormalizationError("weight must be real and nonnegative on the grid")
 
     def apply(self, phi: Observable) -> Observable:
+        """(R phi)_k = 2 (W * phi)_{2k}: one convolution, then every other entry."""
         _check_same(self.space, phi.space)
-        g = convolve_coeffs(self.weight, phi.fourier)
-        out = {n // 2: 2 * c for n, c in g.items() if n % 2 == 0}
-        return Observable.from_fourier(self.space, out)
+        g = convolve(self._w, phi.coeffs)
+        offset = self._w_offset + phi.offset
+        start = offset % 2  # position of the first even index
+        return Observable.from_coeffs(self.space, 2 * g[start::2], (offset + start) // 2)
 
     def weight_at(self, t) -> float:
         z = angle_point(t)
@@ -174,8 +180,13 @@ def ruelle_from_filter(
 ) -> CircleRuelleOperator:
     """Ruelle operator with QMF weight W = |m0|^2 / 2 from filter coefficients."""
     m = {int(n): complex(c) for n, c in m0.items() if c != 0}
-    conj = {-n: c.conjugate() for n, c in m.items()}
-    weight = {n: c / 2 for n, c in convolve_coeffs(m, conj).items()}
+    # W_{n-k} accumulates m_n conj(m_k) in this loop order: weight_at sums W in
+    # dict order, and the sampled paths depend on the bits of its values
+    acf: dict[int, complex] = {}
+    for n, a in m.items():
+        for k, b in m.items():
+            acf[n - k] = acf.get(n - k, 0) + a * b.conjugate()
+    weight = {n: c / 2 for n, c in acf.items() if c != 0}
     return CircleRuelleOperator(space, weight, m0=m)
 
 
@@ -231,9 +242,8 @@ def adjoint_apply(R: TransferOperator, mu: Measure, psi: Observable) -> Observab
         raise ValueError("circle adjoint is implemented for the Haar measure only")
     if R.m0 is None:
         raise ValueError("circle adjoint requires the generating filter m0")
-    doubled = {2 * n: c for n, c in psi.fourier.items()}
-    two_w = {n: 2 * c for n, c in R.weight.items()}  # |m0|^2
-    return Observable.from_fourier(R.space, convolve_coeffs(two_w, doubled))
+    prod = convolve(2 * R._w, doubled(psi.coeffs))  # |m0|^2 (psi o r)
+    return Observable.from_coeffs(R.space, prod, R._w_offset + 2 * psi.offset)
 
 
 def _closed_class_count(kernel: np.ndarray) -> int:

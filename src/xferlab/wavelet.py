@@ -103,9 +103,6 @@ class QMFReport:
     grid_residual: float
     normalization_residual: float
 
-    def is_qmf(self, tol: float = 1e-10) -> bool:
-        return self.coeff_residual <= tol
-
 
 def qmf_check(h: QMFFilter, grid: int = 1024) -> QMFReport:
     """Both faces of the quadrature-mirror identity.
@@ -154,9 +151,6 @@ class ScalingFunction:
     @property
     def step(self) -> float:
         return 2.0 ** (-self.resolution)
-
-    def grid_x(self) -> np.ndarray:
-        return self.offset + np.arange(self.values.size) * self.step
 
     def integral(self) -> complex:
         total = self.values.sum() * self.step
@@ -484,21 +478,15 @@ def _span_dimensions(m, chars, levels, mu) -> list[int]:
     from .statespace import inner_product
 
     family = [(j, c) for j in range(levels + 1) for c in chars]
-    n = len(family)
-    gram = np.zeros((n, n), dtype=complex)
+    gram = np.zeros((len(family), len(family)), dtype=complex)
     for a, (j, f) in enumerate(family):
         for b, (l, g) in enumerate(family):
             if j >= l:
-                vec = _forward_dilates(m, g, j - l)
-                gram[a, b] = inner_product(mu, vec, f)
-            else:
-                gram[a, b] = np.conj(gram[b, a]) if b < a else None or 0
-    # fill the strictly upper part by Hermitian symmetry
-    for a in range(n):
-        for b in range(a + 1, n):
-            ja, jb = family[a][0], family[b][0]
-            if ja < jb:
-                gram[a, b] = np.conj(gram[b, a])
+                gram[a, b] = inner_product(mu, _forward_dilates(m, g, j - l), f)
+    # the entries with j < l, by Hermitian symmetry
+    level = np.array([j for j, _ in family])
+    upper = level[:, None] < level[None, :]
+    gram[upper] = gram.T.conj()[upper]
     dims = []
     per_level = len(chars)
     for lvl in range(levels + 1):

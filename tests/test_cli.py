@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from fractions import Fraction
+
 from xferlab.cli import main
+from xferlab.serialize import angle_from_json
 
 TWO_STATE = {"kind": "finite", "states": ["a", "b"]}
 CHAIN_OP = {"kind": "matrix", "rows": [[0.75, 0.25], [0.5, 0.5]]}
@@ -32,6 +35,19 @@ class TestExitCodes:
     def test_schema_violation_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "qmf", {"filter": {"offset": 1}})
         assert code == 2
+
+    @pytest.mark.parametrize("root", [[1, 3], 0.1, True, "1/0", "third"])
+    def test_unparseable_circle_root_is_config_error(self, tmp_path, capsys, root):
+        cfg = {"space": {"kind": "circle", "degree": 16}, "operator": {"kind": "ruelle", "m0": {"0": HAAR["coeffs"][0], "1": HAAR["coeffs"][1]}},
+               "root": root, "depth": 3, "count": 10, "seed": 1}
+        code, _ = run(tmp_path, "sample", cfg)
+        assert code == 2
+        assert '"p/q"' in capsys.readouterr().err
+
+    def test_exact_angle_forms(self):
+        assert angle_from_json("4/3") == Fraction(1, 3)
+        assert angle_from_json(-1) == angle_from_json(2.0) == 0
+        assert angle_from_json(" 5/8 ") == Fraction(5, 8)
 
     def test_inconsistent_config_is_config_error(self, tmp_path):
         cfg = {"space": TWO_STATE, "operator": {"kind": "matrix", "rows": [[0.6, 0.3], [0.5, 0.5]]}, "word": [{"values": [1, 0]}]}

@@ -6,10 +6,13 @@ transition probabilities, computed here with no operator machinery.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xferlab import (
     CircleSpace,
@@ -21,6 +24,8 @@ from xferlab import (
     Observable,
     characterization_check,
     conditional_expectation,
+    daubechies4,
+    haar_filter,
     consistency_residual,
     correlation,
     correlation_mc,
@@ -160,6 +165,34 @@ class TestSampling:
         for path in ens.samples:
             for a, b in zip(path[:-1], path[1:]):
                 assert (2 * b) % 1 == a
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d4=st.booleans(),
+        root=st.fractions(0, 1).filter(lambda t: t.denominator <= 50),
+        depth=st.integers(1, 6),
+        dicts=st.lists(
+            st.dictionaries(st.integers(-8, 8), st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                                                   allow_infinity=False), min_size=1),
+            min_size=1, max_size=6),
+        seed=st.integers(0, 2**31),
+    )
+    def test_circle_mean_matches_per_path_evaluation(self, d4, root, depth, dicts, seed):
+        space = CircleSpace(degree=8)
+        R = ruelle_from_filter(space, (daubechies4() if d4 else haar_filter()).m0_coeffs())
+        ens = sample_paths(R, root, depth, 97, seed)
+        word = CylinderFunctional(tuple(Observable.from_fourier(space, d) for d in dicts[:depth]))
+        mean, _ = ens.functional_mean(word)
+        ref = np.mean([word.evaluate(path).real for path in ens.samples])
+        l1 = math.prod(sum(abs(c) for c in d.values()) for d in dicts[:depth])
+        assert abs(mean - ref) <= 1e-12 * l1
+
+    def test_word_deeper_than_the_paths_is_refused(self, two_state, circle_R):
+        for space, R, root in ((two_state[0], two_state[1], 0), (*circle_R, Fraction(1, 3))):
+            one = Observable.constant(space, 1.0)
+            ens = sample_paths(R, root, 2, 10, seed=1)
+            with pytest.raises(ValueError):
+                ens.functional_mean(CylinderFunctional((one, one, one)))
 
     def test_csv_roundtrip(self, two_state, tmp_path):
         sp, R = two_state

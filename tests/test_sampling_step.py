@@ -1,13 +1,17 @@
 """The finite sampling step, the seed-to-path mapping, and invariant measures that certify or raise.
 
-The pinned digests below were recorded with the O(states) counting step
-``(u[:, None] > cumsum(K)[x]).sum(axis=1)`` of xferlab 0.1.0; any change to
-the mapping from seed to paths shows up here first.
+The pinned finite digests below were recorded with the O(states) counting step
+``(u[:, None] > cumsum(K)[x]).sum(axis=1)`` of xferlab 0.1.0, and the circle
+digests and CSV bytes with the dict-of-coefficients circle algebra that came
+before the dense layout; any change to the mapping from seed to paths, or to
+the operator fingerprints, shows up here first.
 """
 
 import hashlib
+import json
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,14 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xferlab import (
+    CircleSpace,
     ConvergenceError,
     FiniteSpace,
     Measure,
     ReducibleChainWarning,
+    daubechies4,
+    haar_filter,
     invariant_measure,
     matrix_operator,
+    ruelle_from_filter,
     sample_paths,
 )
+from xferlab.cli import main
 from xferlab.pathmeasure import _cdf_table, _next_states, simulate_absorbing
 from xferlab.rng import CHUNK
 from xferlab.transferop import DIRECT_SOLVE_MAX, _closed_class_count
@@ -75,6 +84,32 @@ PINNED_SAMPLES = [
 PINNED_ABSORBING = ((12, 5, CHUNK + 904, 17), ("dc98bb2b794aa559679615b7031af2f0f6207f51f14b54da56543267c95016ad", 0))
 
 
+def circle_digest(filt, root, depth, count, seed) -> tuple[str, str]:
+    h = haar_filter() if filt == "haar" else daubechies4()
+    R = ruelle_from_filter(CircleSpace(), h.m0_coeffs())
+    ens = sample_paths(R, Fraction(root), depth, count, seed)
+    text = "\n".join(",".join(map(str, path)) for path in ens.samples)
+    return R.fingerprint(), hashlib.sha256(text.encode()).hexdigest()
+
+
+HAAR_PRINT, D4_PRINT = "ruelle:4fe0fa236a94c1c2", "ruelle:e9128c9a6d82e987"
+# (filter, root, depth, count, seed) -> (fingerprint, SHA-256 of the paths as "p/q" text)
+PINNED_CIRCLE = [
+    (("haar", "1/3", 9, 1000, 4), (HAAR_PRINT, "d85138c6475dad1c8fb010ecfbc1a3c5d9d4493c4bafa2ca80bf89af0bf2ee0f")),
+    (("d4", "1/3", 8, 800, 12), (D4_PRINT, "1a94cb2211479b42435a8d3ee633eaa6ae5964e593e3b9ffbc77a754eae065b4")),
+    (("d4", "2/7", 6, CHUNK + 300, 21), (D4_PRINT, "dd82e9eb433a6688c5e3802c09c59b4a904f70c8e3203a8a0cf5b834d2640b30")),
+    (("haar", "5/11", 7, CHUNK + 100, 2), (HAAR_PRINT, "28e2e23c030afb39423722d311ab80ad107c1fc0805230dd6a2a49a62c2d0f00")),
+]
+CIRCLE_SAMPLE_CFG = {
+    "space": {"kind": "circle", "degree": 32},
+    "operator": {"kind": "ruelle", "m0": {"0": 0.48296291314453416, "1": 0.8365163037378079,
+                                          "2": 0.2241438680420134, "3": -0.12940952255126037}},
+    "root": "2/7", "depth": 6, "count": 700, "seed": 5,
+    "word": [{"fourier": {"-1": 0.5, "0": 1.0, "1": 0.5}}, {"fourier": {"2": [0.0, 0.25], "-2": [0.0, -0.25]}}],
+}
+PINNED_CIRCLE_CSV = "0ebc1614ff37a985a571dfb702149135efa90b500a87491a0bcd6668ee95c37d"
+
+
 class TestSeedToPathMapping:
     @pytest.mark.parametrize("case,digest", PINNED_SAMPLES)
     def test_sample_paths_stream_is_pinned(self, case, digest):
@@ -83,6 +118,17 @@ class TestSeedToPathMapping:
     def test_simulate_absorbing_stream_is_pinned(self):
         case, expected = PINNED_ABSORBING
         assert absorbing_digest(*case) == expected
+
+    @pytest.mark.parametrize("case,expected", PINNED_CIRCLE)
+    def test_circle_stream_and_fingerprint_are_pinned(self, case, expected):
+        assert circle_digest(*case) == expected
+
+    def test_circle_sample_csv_bytes_are_pinned(self, tmp_path):
+        cfg, csv_path = tmp_path / "cfg.json", tmp_path / "paths.csv"
+        cfg.write_text(json.dumps(CIRCLE_SAMPLE_CFG))
+        code = main(["sample", "--config", str(cfg), "--output", str(tmp_path / "r.json"), "--csv", str(csv_path)])
+        assert code == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == PINNED_CIRCLE_CSV
 
 
 def _count_step(table, x, u):

@@ -1,8 +1,12 @@
 """Solenoid structure: compatibility, shift/lift, invariance, group case."""
 
+import time
+
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xferlab import (
     CircleSpace,
@@ -13,6 +17,7 @@ from xferlab import (
     SmaleWilliamsState,
     SolenoidWord,
     covariance_check,
+    daubechies4,
     group_translation_invariance,
     invariant_measure,
     lift_conditional_residual,
@@ -31,6 +36,7 @@ from xferlab import (
 from xferlab.pathmeasure import default_word_battery
 from xferlab.solenoid import (
     ensemble_compatibility_violations,
+    incompatible_transitions,
     random_solenoid_translate,
 )
 
@@ -86,6 +92,40 @@ class TestSupport:
     def test_sampled_paths_never_violate_compatibility(self, circle_R):
         ens = sample_paths(circle_R, Fraction(0), 8, 5000, seed=13)
         assert ensemble_compatibility_violations(ens) == 0
+
+    def test_circle_mass_is_one_by_construction_at_any_depth(self, circle):
+        # 2^39 backward branches at depth 40: only the construction argument can answer
+        d4 = ruelle_from_filter(circle, daubechies4().m0_coeffs())
+        t0 = time.perf_counter()
+        assert support_mass(d4, Fraction(1, 3), 40) == 1.0
+        assert time.perf_counter() - t0 < 0.05
+        with pytest.raises(ValueError):
+            support_mass(d4, Fraction(1, 3), 0)
+
+
+@st.composite
+def circle_words(draw):
+    """Equal-length angle words: backward branches mixed with arbitrary angles, small to huge denominators."""
+    # 2^32: products of such denominators wrap to 0 in int64
+    q = draw(st.sampled_from([1, 3, 7, 12, 2**31 - 1, 2**31 + 1, 2**32, 2**40 + 3, 2**64 + 13]))
+    count, depth = draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    words = []
+    for _ in range(count):
+        word = [Fraction(draw(st.integers(0, q - 1)), q)]
+        for _ in range(depth - 1):
+            if draw(st.booleans()):
+                word.append((word[-1] + draw(st.integers(0, 1))) / 2)
+            else:
+                word.append(Fraction(draw(st.integers(0, 4 * q - 1)), 4 * q))
+        words.append(tuple(word))
+    return words
+
+
+@settings(max_examples=200, deadline=None)
+@given(circle_words())
+def test_compatibility_count_matches_the_fraction_oracle(words):
+    oracle = sum((2 * w[k + 1]) % 1 != w[k] for w in words for k in range(len(w) - 1))
+    assert incompatible_transitions(CircleSpace(), words) == oracle
 
 
 class TestShiftInvariance:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xferlab import (
+    CircleRuelleOperator,
     CircleSpace,
     DegreeOverflowError,
     FiniteSpace,
@@ -14,13 +15,25 @@ from xferlab import (
     NoEndomorphismError,
     NormalizationError,
     Observable,
+    adjoint_apply,
     compose_with_endo,
+    daubechies4,
     fiber_average,
     inner_product,
     integrate,
+    ruelle_from_filter,
     strong_invariance_check,
 )
-from xferlab.statespace import angle_point, convolve_coeffs
+from xferlab.statespace import angle_point
+
+
+def convolve_coeffs(a, b) -> dict[int, complex]:
+    """Oracle: coefficient convolution of two coefficient maps by the term-by-term dict loop."""
+    out: dict[int, complex] = {}
+    for n, cn in a.items():
+        for m, cm in b.items():
+            out[n + m] = out.get(n + m, 0) + cn * cm
+    return {k: v for k, v in out.items() if v != 0}
 
 
 @pytest.fixture
@@ -142,3 +155,145 @@ class TestEndomorphismComposition:
         mu = Measure.point_mass(sp, 0)
         # fiber average swaps values, so the indicator battery detects it
         assert strong_invariance_check(mu) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the dense circle layout against the dict-loop oracle
+
+EPS = np.finfo(float).eps
+# components bounded away from zero (no underflow) or small integers (exact zeros and cancellations)
+PART = st.one_of(st.integers(-3, 3).map(float), st.floats(0.25, 4.0), st.floats(-4.0, -0.25))
+COEFF = st.builds(complex, PART, PART)
+INT_COEFF = st.integers(-2, 2).map(complex)
+
+
+def coeff_maps(deg, values=COEFF):
+    return st.dictionaries(st.integers(-deg, deg), values, max_size=2 * deg + 1)
+
+
+def nonzero(d):
+    return {n: complex(c) for n, c in d.items() if c != 0}
+
+
+def ruelle_oracle(w, b):
+    return {n // 2: 2 * c for n, c in convolve_coeffs(w, b).items() if n % 2 == 0}
+
+
+def adjoint_oracle(w, b):
+    return convolve_coeffs({n: 2 * c for n, c in w.items()}, {2 * n: c for n, c in b.items()})
+
+
+# unital, nonnegative weights with dyadic coefficients, so the oracle is exact on integer inputs
+DYADIC_WEIGHTS = [
+    {0: 0.5, 1: 0.25, -1: 0.25},
+    {0: 0.5, 3: 0.25, -3: 0.25},
+    {0: 0.5, 1: 0.125, -1: 0.125, 3: 0.125, -3: 0.125},
+    {0: 0.5, 5: 0.25, -5: 0.25},
+    {0: 0.5, 1: 0.125, -1: 0.125, 5: 0.125, -5: 0.125},
+]
+
+
+class TestDenseLayout:
+    @given(a=coeff_maps(12), b=coeff_maps(12))
+    @settings(max_examples=200, deadline=None)
+    def test_product_agrees_with_the_dict_loop_to_the_summation_order_bound(self, a, b):
+        sp = CircleSpace(degree=24)
+        got = (Observable.from_fourier(sp, a) * Observable.from_fourier(sp, b)).fourier
+        want = convolve_coeffs(a, b)
+        mag = convolve_coeffs({n: abs(c) for n, c in a.items()}, {n: abs(c) for n, c in b.items()})
+        # each side is within gamma_(m+2) sum |a_n b_(k-n)| of the exact value, m terms per entry
+        m = min(len(a), len(b))
+        for k in set(got) | set(want):
+            assert abs(got.get(k, 0) - want.get(k, 0)) <= 2 * (m + 2) * EPS * mag.get(k, 0)
+
+    @given(a=coeff_maps(8), b=coeff_maps(8), s=PART)
+    @settings(max_examples=200, deadline=None)
+    def test_index_arithmetic_is_exact(self, a, b, s):
+        sp = CircleSpace(degree=16)
+        f, g, fa = Observable.from_fourier(sp, a), Observable.from_fourier(sp, b), nonzero(a)
+        assert compose_with_endo(f).fourier == {2 * n: c for n, c in fa.items()}
+        assert fiber_average(f).fourier == {n // 2: c for n, c in fa.items() if n % 2 == 0}
+        assert f.conj().fourier == {-n: c.conjugate() for n, c in fa.items()}
+        total = {n: a.get(n, 0) + b.get(n, 0) for n in set(a) | set(b)}
+        assert (f + g).fourier == nonzero(total)
+        assert (f * s).fourier == (s * f).fourier == nonzero({n: c * s for n, c in fa.items()})
+        assert integrate(Measure.haar_measure(sp), f) == fa.get(0, 0.0)
+
+    @given(a=coeff_maps(8), z=st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=100, deadline=None)
+    def test_complex_scalar_multiple_is_one_product_per_coefficient(self, a, z):
+        sp = CircleSpace(degree=8)
+        got = (Observable.from_fourier(sp, a) * z).fourier
+        for n, c in nonzero(a).items():  # one complex product: a fused multiply-add may move the last bit
+            assert abs(got.get(n, 0) - c * z) <= 4 * EPS * abs(c) * abs(z)
+
+    @given(a=coeff_maps(10))
+    @settings(max_examples=100, deadline=None)
+    def test_fourier_round_trips_through_from_fourier(self, a):
+        sp = CircleSpace(degree=10)
+        f = Observable.from_fourier(sp, a)
+        assert f.fourier == nonzero(a)
+        assert all(type(n) is int and type(c) is complex for n, c in f.fourier.items())
+        g = Observable.from_fourier(sp, f.fourier)
+        assert g.offset == f.offset and np.array_equal(g.coeffs, f.coeffs)
+        if f.coeffs.size:
+            assert f.coeffs[0] != 0 and f.coeffs[-1] != 0
+        else:
+            assert f.offset == 0 and f.degree == 0
+
+    @given(
+        d=st.integers(1, 6),
+        a=coeff_maps(6, INT_COEFF),
+        b=coeff_maps(6, INT_COEFF),
+        w=st.sampled_from(DYADIC_WEIGHTS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_degree_overflow_iff_a_nonzero_coefficient_exceeds_the_degree(self, d, a, b, w):
+        sp = CircleSpace(degree=d)
+        a = {n: c for n, c in a.items() if abs(n) <= d}
+        b = {n: c for n, c in b.items() if abs(n) <= d}
+        f, g = Observable.from_fourier(sp, a), Observable.from_fourier(sp, b)
+        R = CircleRuelleOperator(sp, w, m0={0: 1.0})
+        cases = [
+            (lambda: f * g, convolve_coeffs(a, b)),
+            (lambda: R.apply(g), ruelle_oracle(w, b)),
+            (lambda: adjoint_apply(R, Measure.haar_measure(sp), g), adjoint_oracle(w, b)),
+        ]
+        for run, want in cases:
+            want = nonzero(want)  # integer inputs and dyadic weights: the oracle is exact
+            if max((abs(n) for n in want), default=0) > d:
+                with pytest.raises(DegreeOverflowError):
+                    run()
+            else:
+                assert run().fourier == want
+
+    def test_characters_under_apply_are_exact(self):
+        sp = CircleSpace(degree=40)
+        R = ruelle_from_filter(sp, daubechies4().m0_coeffs())
+        for n in range(-33, 34):
+            # each output coefficient is one product 2 W_k
+            assert R.apply(Observable.character(sp, n)).fourier == nonzero(ruelle_oracle(R.weight, {n: 1.0}))
+
+    def test_zero_ends_beyond_the_degree_do_not_overflow(self):
+        sp = CircleSpace(degree=2)
+        # W * phi spans -6..6; its even entries at +-6 and +-4 are exact zeros
+        R = CircleRuelleOperator(sp, {0: 0.5, 5: 0.25, -5: 0.25}, m0={0: 1.0})
+        out = R.apply(Observable.from_fourier(sp, {-2: -1.0, 0: -1.0, 2: -1.0}))
+        assert out.fourier == {-1: -1.0, 0: -1.0, 1: -1.0}
+        assert Observable.from_coeffs(sp, np.array([0, 1, 0, 0, 0]), -2).fourier == {-1: 1.0}
+        assert Observable.from_fourier(sp, {3: 0.0, -1: 2.0}).fourier == {-1: 2.0}
+        with pytest.raises(DegreeOverflowError):
+            Observable.from_coeffs(sp, np.array([0, 1, 0, 1]), 0)
+
+    def test_evaluation_is_horner_over_the_coefficients(self):
+        sp = CircleSpace(degree=300, grid=64)
+        rng = np.random.default_rng(5)
+        a = {n: complex(*rng.standard_normal(2)) for n in range(-300, 301, 7)}
+        f = Observable.from_fourier(sp, a)
+        theta = np.arange(64) / 64
+        direct = sum(c * np.exp(2j * np.pi * n * theta) for n, c in a.items())
+        l1 = sum(abs(c) for c in a.values())
+        assert np.max(np.abs(f.eval_grid() - direct)) <= 1e-12 * l1
+        assert abs(f(Fraction(3, 64)) - direct[3]) <= 1e-12 * l1
+        assert abs(f(complex(np.exp(2j * np.pi * 3 / 64))) - direct[3]) <= 1e-12 * l1
+        assert f.sup_norm() == pytest.approx(np.max(np.abs(direct)), rel=1e-12)
