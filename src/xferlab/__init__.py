@@ -58,9 +58,7 @@ from .pathmeasure import (
     q1_project,
     sample_paths,
     sigma_expectation,
-    v1,
     v1_star,
-    v1_star_mc,
     v2_star,
 )
 from .solenoid import (

@@ -8,15 +8,17 @@ computed right-to-left; Sigma^(mu) averages E_x against mu.  Exact evaluation
 is restricted to the cylinder algebra (products of finitely many coordinate
 observables); everything else goes through seeded Monte Carlo ensembles.
 
-On finite carriers both walkers (``sample_paths`` and ``simulate_absorbing``)
-take one inverse-CDF step: from state x with a uniform draw u in [0, 1), the
-next state is the number of entries of row x of the cumulative table below u.
-The table is the row-wise cumulative sum of K, pinned to 1.0 from the entry
-where the row reaches its total on, so a row whose float sum falls just short
-of 1 never yields index n or a state of probability zero.  The step finds the
-count by bisection, in ceil(log2 n) vectorised rounds; outside that rounding
-gap it returns exactly the index of the O(n) count, so the mapping from seed
-to paths is the one of xferlab 0.1.0.
+``sample_paths`` runs the walker of its operator (``MatrixOperator.walk`` or
+``CircleRuelleOperator.walk``).  On finite carriers that walker and
+``simulate_absorbing`` take one inverse-CDF step, defined here: from state x
+with a uniform draw u in [0, 1), the next state is the number of entries of
+row x of the cumulative table below u.  The table is the row-wise cumulative
+sum of K, pinned to 1.0 from the entry where the row reaches its total on, so
+a row whose float sum falls just short of 1 never yields index n or a state
+of probability zero.  The step finds the count by bisection, in
+ceil(log2 n) vectorised rounds; outside that rounding gap it returns exactly
+the index of the O(n) count, so the mapping from seed to paths is the one of
+xferlab 0.1.0.
 """
 
 from __future__ import annotations
@@ -24,32 +26,21 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import EnsembleRequiredError, NotHarmonicError, CarrierMismatchError
-from .rng import CHUNK, chunk_sizes, chunk_stream
+from .rng import chunk_sizes, chunk_stream
 from .statespace import (
-    CircleSpace,
+    MAX_EXACT_DEPTH,  # noqa: F401  (re-exported: the cap of FiniteSpace.max_exact_depth)
     FiniteSpace,
     Measure,
     Observable,
-    horner,
     integrate,
     _check_same,
+    _require,
 )
-from .transferop import (
-    CircleRuelleOperator,
-    MatrixOperator,
-    TransferOperator,
-    adjoint_apply,
-    stationarity_residual,
-)
-
-#: Exact cylinder computations on finite carriers are capped at this depth;
-#: cost per word is linear in depth but word batteries grow combinatorially.
-MAX_EXACT_DEPTH = 12
+from .transferop import TransferOperator, adjoint_apply, stationarity_residual
 
 STEP_CAP = 10**6
 
@@ -110,16 +101,12 @@ def as_word(f) -> CylinderFunctional:
     return CylinderFunctional(tuple(f))
 
 
-def _check_depth(space, n: int) -> None:
-    if isinstance(space, FiniteSpace) and n > MAX_EXACT_DEPTH:
-        raise ValueError(f"exact cylinder depth is capped at {MAX_EXACT_DEPTH}")
-
-
 def conditional_expectation(R: TransferOperator, f) -> Observable:
     """E_bullet(f): x -> E_x(f) = phi_1 R(phi_2 R(... R(phi_n) ...))."""
     f = as_word(f)
     _check_same(R.space, f.space)
-    _check_depth(R.space, f.depth)
+    if f.depth > R.space.max_exact_depth:
+        raise ValueError(f"exact cylinder depth is capped at {R.space.max_exact_depth}")
     psi = f.word[-1]
     for phi in reversed(f.word[:-1]):
         psi = phi * R.apply(psi)
@@ -153,15 +140,15 @@ def consistency_residual(R: TransferOperator, x, f) -> float:
 class PathEnsemble:
     """Seeded i.i.d. sample of words from P_root (or Sigma when mu-rooted).
 
-    Finite carriers store an integer array of shape (count, depth); the circle
-    stores exact rational angles per coordinate so solenoid compatibility can
-    be checked exactly.
+    ``samples`` has shape (count, depth) on both carriers: state indices
+    (intp) on finite carriers, and on the circle exact Fraction angles in an
+    object array, so that solenoid compatibility can be checked exactly.
     """
 
     space: object
     root: object  # state index, Fraction angle, or a Measure for mu-rooted
     depth: int
-    samples: object
+    samples: np.ndarray
     seed: int
     fingerprint: str
 
@@ -180,11 +167,7 @@ class PathEnsemble:
                 raise ValueError(f"a word of depth {f.depth} needs paths of at least that depth")
             vals = np.ones(self.count, dtype=complex)
             for j, phi in enumerate(f.word):
-                if phi.values is not None:
-                    vals *= np.asarray(phi.values)[self.samples[:, j]]
-                else:
-                    t = np.fromiter((float(p[j]) for p in self.samples), float, self.count)
-                    vals *= horner(phi.coeffs, phi.offset, np.exp(2j * np.pi * t))
+                vals *= phi(self.samples[:, j])
         else:
             vals = np.array([f(p) for p in self.samples], dtype=complex)
         if np.max(np.abs(vals.imag)) < 1e-12:
@@ -196,22 +179,15 @@ class PathEnsemble:
     def merge(self, other: "PathEnsemble") -> "PathEnsemble":
         if (self.fingerprint, self.depth) != (other.fingerprint, other.depth):
             raise CarrierMismatchError("can only merge ensembles of the same experiment")
-        if isinstance(self.space, FiniteSpace):
-            samples = np.vstack([self.samples, other.samples])
-        else:
-            samples = list(self.samples) + list(other.samples)
+        samples = np.vstack([self.samples, other.samples])
         return PathEnsemble(self.space, self.root, self.depth, samples, self.seed, self.fingerprint)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"x{i+1}" for i in range(self.depth)])
-            if isinstance(self.space, FiniteSpace):
-                for row in self.samples:
-                    writer.writerow([self.space.states[i] for i in row])
-            else:
-                for row in self.samples:
-                    writer.writerow([str(t) for t in row])
+            for row in self.samples:
+                writer.writerow([self.space.label(x) for x in row])
 
 
 def sample_paths(
@@ -220,13 +196,13 @@ def sample_paths(
     """i.i.d. words of length n from the random walk with transition law of R.
 
     Deterministic for a fixed seed; chunked so parallel sampling can
-    reproduce the serial stream (see rng module).
+    reproduce the serial stream (see rng module).  The root is a point of
+    the carrier (checked by ``space.point``) or, on finite carriers, a
+    Measure; the operator's ``walk`` does the sampling.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(R, MatrixOperator):
-        return _sample_finite(R, root, n, count, seed)
-    return _sample_circle(R, root, n, count, seed)
+    return R.walk(root, n, count, seed)
 
 
 def _cdf_table(kernel) -> np.ndarray:
@@ -254,53 +230,6 @@ def _next_states(table: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         pos = np.where(flat.take(np.minimum(base + cand - 1, end)) < u, cand, pos)
         step >>= 1
     return pos
-
-
-def _sample_finite(R: MatrixOperator, root, n, count, seed) -> PathEnsemble:
-    table = _cdf_table(R.kernel)
-    out = np.empty((count, n), dtype=np.intp)
-    pos = 0
-    for ci, size in enumerate(chunk_sizes(count)):
-        rng = chunk_stream(seed, ci)
-        if isinstance(root, Measure):
-            x = rng.choice(R.space.n, size=size, p=root.weights)
-        else:
-            x = np.full(size, int(root), dtype=np.intp)
-        out[pos : pos + size, 0] = x
-        for step in range(1, n):
-            x = _next_states(table, x, rng.random(size))
-            out[pos : pos + size, step] = x
-        pos += size
-    return PathEnsemble(R.space, root, n, out, seed, R.fingerprint())
-
-
-def _sample_circle(R: CircleRuelleOperator, root, n, count, seed) -> PathEnsemble:
-    """Backward-branching walk: from angle t to a square root, weighted by W."""
-    if isinstance(root, Measure):
-        raise ValueError("mu-rooted sampling is not supported on the circle carrier")
-    t0 = Fraction(root) % 1
-    branch_cache: dict[Fraction, tuple] = {}
-
-    def branches(t):
-        b = branch_cache.get(t)
-        if b is None:
-            b = R.transition_weights(t)
-            branch_cache[t] = b
-        return b
-
-    samples = []
-    for ci, size in enumerate(chunk_sizes(count)):
-        rng = chunk_stream(seed, ci)
-        u = rng.random((size, max(n - 1, 1)))
-        for i in range(size):
-            path = [t0]
-            t = t0
-            for step in range(n - 1):
-                (u0, p0), (u1, _p1) = branches(t)
-                t = u0 if u[i, step] < p0 else u1
-                path.append(t)
-            samples.append(tuple(path))
-    return PathEnsemble(R.space, t0, n, samples, seed, R.fingerprint())
 
 
 def simulate_absorbing(
@@ -340,33 +269,23 @@ def simulate_absorbing(
 # the operator pair V1, V1* and friends
 
 
-def v1(phi: Observable) -> CylinderFunctional:
-    """V1 phi = phi o pi_1, the coordinate isometry L^2(mu) -> L^2(Sigma)."""
-    return CylinderFunctional((phi,))
-
-
 def v1_star(R: TransferOperator, f, x=None):
     """V1* f = E_bullet(f), the conditional expectation given pi_1.
 
     Exact for cylinder words; a black-box path function needs an ensemble
-    (use v1_star_mc).
+    (use PathEnsemble.functional_mean).
     """
     if callable(f) and not isinstance(f, (CylinderFunctional, Observable)):
         raise EnsembleRequiredError(
-            "black-box path functions require sampled paths; use v1_star_mc"
+            "black-box path functions require sampled paths; use PathEnsemble.functional_mean"
         )
     obs = conditional_expectation(R, f)
     return obs if x is None else obs(x)
 
 
-def v1_star_mc(ensemble: PathEnsemble, f) -> tuple[float, float]:
-    """Monte Carlo E_x(f) from an ensemble rooted at x."""
-    return ensemble.functional_mean(f)
-
-
 def q1_project(R: TransferOperator, mu: Measure | None, f) -> Observable:
     """Q1 = V1 V1*: returns psi with Q1(f) = psi o pi_1."""
-    if mu is not None and isinstance(R.space, FiniteSpace) and not mu.full_support():
+    if mu is not None and not mu.full_support():
         raise ValueError("conditional expectations require full-support mu")
     return conditional_expectation(R, f)
 
@@ -417,15 +336,13 @@ def characterization_check(mu: Measure, R: TransferOperator, words=None, seed: i
 
 def default_word_battery(space, max_depth: int = 4, per_depth: int = 5, seed: int = 23):
     """Seeded random cylinder words used by the residual checks."""
-    from .transferop import _random_observable
-
     rng = np.random.default_rng(seed)
     battery = []
     for depth in range(1, max_depth + 1):
         for _ in range(per_depth):
             battery.append(
                 CylinderFunctional(
-                    tuple(_random_observable(space, rng, max_degree=3) for _ in range(depth))
+                    tuple(space.random_observable(rng, max_degree=3) for _ in range(depth))
                 )
             )
     return battery
@@ -454,18 +371,18 @@ def correlation_mc(ensemble: PathEnsemble, phi: Observable, psi: Observable, n: 
 
 def marginal_distribution(mu: Measure, R: TransferOperator, phi: Observable, t: float, n: int):
     """Sigma({phi o pi_n <= t}) = int R^{n-1} chi_{phi <= t} dmu; n-independent when mu is stationary."""
-    if not isinstance(R.space, FiniteSpace):
-        raise NotImplementedError("level-set indicators are not trig polynomials; finite carriers only")
-    ind = Observable.from_values(R.space, (np.real(phi.values) <= t).astype(float))
-    return integrate(mu, R.apply_power(ind, n - 1))
+    return integrate(mu, R.apply_power(_level_set(phi, t), n - 1))
 
 
 def marginal_distribution_mc(ensemble: PathEnsemble, phi: Observable, t: float, n: int):
-    vals = np.real(np.asarray(phi.values)[ensemble.samples[:, n - 1]])
-    hits = (vals <= t).astype(float)
-    mean = float(hits.mean())
-    stderr = float(hits.std(ddof=1) / np.sqrt(len(hits))) if len(hits) > 1 else 0.0
-    return mean, stderr
+    word = (Observable.constant(phi.space, 1.0),) * (n - 1) + (_level_set(phi, t),)
+    return ensemble.functional_mean(CylinderFunctional(word))
+
+
+def _level_set(phi: Observable, t: float) -> Observable:
+    """The indicator of {phi <= t}; level sets are not trig polynomials, so finite carriers only."""
+    _require(phi.space, FiniteSpace, "a level-set indicator")
+    return Observable.from_values(phi.space, (np.real(phi.values) <= t).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -507,28 +424,27 @@ def harmonic_correspondence(
         word = CylinderFunctional((one,) * n + (h,))
         mart.append((conditional_expectation(R, word) - h).coeff_norm())
 
-    absorbing_states: list[int] = []
+    absorbing_states = R.absorbing_states()
     boundary_residual = None
     mc_estimate = mc_stderr = None
     capped = 0
-    if isinstance(R, MatrixOperator):
+    if absorbing_states and len(absorbing_states) < R.space.n:
         k = R.kernel
-        mask = np.isclose(np.diag(k), 1.0, atol=1e-12)
-        absorbing_states = [int(i) for i in np.nonzero(mask)[0]]
-        if absorbing_states and len(absorbing_states) < R.space.n:
-            interior = np.nonzero(~mask)[0]
-            q = k[np.ix_(interior, interior)]
-            rpart = k[np.ix_(interior, np.nonzero(mask)[0])]
-            # absorption probabilities: (I - Q) A = R_part
-            a = np.linalg.solve(np.eye(len(interior)) - q, rpart)
-            exact = np.real(np.asarray(h.values)).astype(float).copy()
-            exact[interior] = a @ np.real(np.asarray(h.values))[mask]
-            boundary_residual = float(np.max(np.abs(exact - np.real(h.values))))
-            if mc_count and mc_start is not None:
-                finals, capped = simulate_absorbing(k, mask, mc_start, mc_count, seed)
-                vals = np.real(np.asarray(h.values))[finals]
-                mc_estimate = float(vals.mean())
-                mc_stderr = float(vals.std(ddof=1) / np.sqrt(mc_count))
+        mask = np.zeros(R.space.n, dtype=bool)
+        mask[absorbing_states] = True
+        interior = np.nonzero(~mask)[0]
+        q = k[np.ix_(interior, interior)]
+        rpart = k[np.ix_(interior, np.nonzero(mask)[0])]
+        # absorption probabilities: (I - Q) A = R_part
+        a = np.linalg.solve(np.eye(len(interior)) - q, rpart)
+        exact = np.real(np.asarray(h.values)).astype(float).copy()
+        exact[interior] = a @ np.real(np.asarray(h.values))[mask]
+        boundary_residual = float(np.max(np.abs(exact - np.real(h.values))))
+        if mc_count and mc_start is not None:
+            finals, capped = simulate_absorbing(k, mask, mc_start, mc_count, seed)
+            vals = np.real(np.asarray(h.values))[finals]
+            mc_estimate = float(vals.mean())
+            mc_stderr = float(vals.std(ddof=1) / np.sqrt(mc_count))
     return HarmonicReport(
         harmonic_residual=float(resid),
         martingale_residuals=[float(r) for r in mart],

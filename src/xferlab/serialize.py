@@ -69,7 +69,7 @@ def measure_from_json(space: Space, d: Mapping[str, Any], R: TransferOperator | 
     if kind == "uniform":
         return Measure.uniform(space)
     if kind == "point":
-        return Measure.point_mass(space, int(d["state"]))
+        return Measure.point_mass(space, d["state"])
     if kind == "haar":
         return Measure.haar_measure(space)
     if kind == "stationary":
@@ -104,19 +104,8 @@ def filter_from_json(d: Mapping[str, Any]) -> QMFFilter:
 
 
 def angle_from_json(v) -> Fraction:
-    """Exact angle mod 1 from an integer, an integral float, or a "p/q" string.
-
-    Any other value is refused: a float such as 0.1 would otherwise become its
-    binary expansion, a fraction with denominator 2^55.
-    """
-    if isinstance(v, str):
-        try:
-            return Fraction(v) % 1
-        except (ValueError, ZeroDivisionError):
-            pass
-    elif (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()):
-        return Fraction(v) % 1
-    raise ValueError(f'an angle must be an integer or a "p/q" string, not {v!r}')
+    """Exact angle mod 1 from an integer, an integral float, or a "p/q" string (``CircleSpace.point``)."""
+    return CircleSpace.point(v)
 
 
 def jsonify(obj):

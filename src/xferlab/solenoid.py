@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CarrierMismatchError, NoEndomorphismError, NormalizationError
+from .errors import NormalizationError
 from .pathmeasure import (
     CylinderFunctional,
     as_word,
@@ -24,14 +24,14 @@ from .pathmeasure import (
 )
 from .statespace import (
     CircleSpace,
-    FiniteSpace,
     Measure,
     Observable,
     compose_with_endo,
     integrate,
     _check_same,
+    _require,
 )
-from .transferop import CircleRuelleOperator, MatrixOperator, TransferOperator
+from .transferop import TransferOperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,11 +42,9 @@ class SolenoidWord:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(self.entries)
+        entries = tuple(self.space.point(x) for x in self.entries)
         if len(entries) < 1:
             raise ValueError("a solenoid word needs at least one entry")
-        if not isinstance(self.space, FiniteSpace):
-            entries = tuple(Fraction(t) % 1 for t in entries)
         if incompatible_transitions(self.space, [entries]):
             raise ValueError("compatibility r(x_{k+1}) = x_k fails")
         object.__setattr__(self, "entries", entries)
@@ -65,39 +63,15 @@ def shift(word: SolenoidWord) -> SolenoidWord:
 
 def rhat(word: SolenoidWord) -> SolenoidWord:
     """The lift of r: prepend r(x_1); the result is one entry longer."""
-    x1 = word.entries[0]
-    if isinstance(word.space, FiniteSpace):
-        rx = word.space.apply_endo(x1)
-    else:
-        rx = CircleSpace.forward(x1)
-    return SolenoidWord(word.space, (rx,) + word.entries)
+    return SolenoidWord(word.space, (word.space.forward(word.entries[0]),) + word.entries)
 
 
 def incompatible_transitions(space, words) -> int:
     """Number of transitions x_k -> x_{k+1} with r(x_{k+1}) != x_k in equal-length words.
 
-    The one solenoid compatibility test.  Circle words are angles in [0, 1):
-    with x_{k+1} = a/b and x_k = c/d, 2a/b = c/d (mod 1) iff (2ad - cb) mod
-    bd = 0.  Every product is below 2bd, so int64 holds it while each
-    denominator is below 2^31; beyond, the test runs on Python ints.
+    The one solenoid compatibility test; the carrier does the count.
     """
-    if isinstance(space, FiniteSpace):
-        if space.endo is None:
-            raise NoEndomorphismError("compatibility is defined relative to an endomorphism")
-        x = np.asarray(words)
-        return int(np.count_nonzero(np.asarray(space.endo)[x[:, 1:]] != x[:, :-1]))
-    shape = (len(words), len(words[0]) if words else 0)
-    size = shape[0] * shape[1]
-    try:
-        den = np.fromiter((t.denominator for w in words for t in w), np.int64, size)
-    except OverflowError:  # a denominator of 2^63 or more
-        den = np.fromiter((t.denominator for w in words for t in w), object, size)
-    if den.max(initial=1) >= 2**31:
-        den = den.astype(object)
-    num = np.fromiter((t.numerator for w in words for t in w), den.dtype, den.size)
-    num, den = num.reshape(shape), den.reshape(shape)
-    a, b, c, d = num[:, 1:], den[:, 1:], num[:, :-1], den[:, :-1]
-    return int(np.count_nonzero((2 * a * d - c * b) % (b * d)))
+    return space.incompatible_transitions(words)
 
 
 def support_mass(R: TransferOperator, x, n: int) -> float:
@@ -105,27 +79,13 @@ def support_mass(R: TransferOperator, x, n: int) -> float:
 
     Exactly 1 when the pull-out axiom holds (the walk only moves backward
     along r); < 1 is the negative-control signal.  Monotone nonincreasing
-    in n.  On a finite carrier: the mass that survives n - 1 steps along r.
-    On the circle it is 1 by construction: both branches of every backward
-    step are preimages (CircleSpace.preimages), and construction checked
-    R1 = 1.  n counts the entries of a word, which has at least one, so
-    n < 1 is refused on both carriers.
+    in n; on the circle it is 1 by construction (``R.support_mass``).  n
+    counts the entries of a word, which has at least one, so n < 1 is
+    refused on both carriers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(R, CircleRuelleOperator):
-        return 1.0
-    if isinstance(R, MatrixOperator):
-        space = R.space
-        endo = np.asarray(space.endo)
-        mass = np.zeros(space.n)
-        mass[int(x)] = 1.0
-        for _ in range(n - 1):
-            nxt = np.zeros(space.n)
-            for y in range(space.n):
-                nxt[y] = mass[endo[y]] * R.kernel[endo[y], y]
-            mass = nxt
-        return float(mass.sum())
+    return R.support_mass(x, n)
 
 
 def ensemble_compatibility_violations(ensemble) -> int:
@@ -176,14 +136,12 @@ def conditional_two(R: TransferOperator, f, x1, x2):
 
 def lift_conditional_residual(R: TransferOperator, words, points) -> float:
     """Max residual of E_x(f o rhat) = E_{r(x), x}(f) over words and points x."""
-    space = R.space
     res = 0.0
     for f in words:
         f = as_word(f)
         lifted = conditional_expectation(R, word_compose_rhat(f))
         for x in points:
-            rx = space.apply_endo(x) if isinstance(space, FiniteSpace) else CircleSpace.forward(x)
-            res = max(res, abs(lifted(x) - conditional_two(R, f, rx, x)))
+            res = max(res, abs(lifted(x) - conditional_two(R, f, R.space.forward(x), x)))
     return res
 
 
@@ -255,12 +213,10 @@ def group_translation_invariance(
     in coefficient arithmetic, plus the resulting global invariance
     |E(f(. y)) - E(f)|.  Requires the uniform weight W = 1/2 and mu = Haar.
     """
-    if not isinstance(R, CircleRuelleOperator):
-        raise CarrierMismatchError("the group case lives on the circle carrier")
+    _require(R.space, CircleSpace, "the group case")
+    _check_same(R.space, mu.space)  # the Haar measure, the only one on the circle carrier
     if set(R.weight) != {0} or abs(R.weight.get(0, 0) - 0.5) > 1e-12:
         raise NormalizationError("group translation invariance requires uniform weight W = 1/2")
-    if not mu.haar:
-        raise NormalizationError("the group case uses the Haar measure")
     f = as_word(f)
     translated = translate_word(f, translate)
     lhs = conditional_expectation(R, translated)

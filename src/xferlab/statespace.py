@@ -1,11 +1,12 @@
 """Carriers for the base space: finite state sets and the circle.
 
-Two carriers are supported.  ``FiniteSpace`` is an ordered finite set of
-labelled states, optionally equipped with an onto self-map (which on a finite
-set is necessarily a bijection, so genuine N-to-1 dynamics live on the
-circle).  ``CircleSpace`` is the unit circle under the doubling map, with the
-function algebra truncated to Laurent polynomials of a fixed maximal degree;
-anything that would leave the truncation raises ``DegreeOverflowError``
+Two carriers are supported, and each owns the logic specific to it (README.md,
+"Carriers").  ``FiniteSpace`` is an ordered finite set of labelled states,
+optionally equipped with an onto self-map (which on a finite set is
+necessarily a bijection, so genuine N-to-1 dynamics live on the circle).
+``CircleSpace`` is the unit circle under the doubling map, with the function
+algebra truncated to Laurent polynomials of a fixed maximal degree; anything
+that would leave the truncation raises ``DegreeOverflowError``
 instead of silently truncating.
 A circle observable is a dense coefficient array plus the index of its first
 entry; README.md says which identities on it are exact in floating point.
@@ -14,6 +15,8 @@ entry; README.md says which identities on it are exact in floating point.
 from __future__ import annotations
 
 import cmath
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -30,7 +33,9 @@ from .errors import (
 DEFAULT_DEGREE = 64
 DEFAULT_GRID = 1024
 
-Angle = Union[Fraction, float]
+#: Exact cylinder computations on finite carriers are capped at this depth;
+#: cost per word is linear in depth but word batteries grow combinatorially.
+MAX_EXACT_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,8 @@ class FiniteSpace:
 
     states: tuple
     endo: tuple | None = None
+
+    max_exact_depth = MAX_EXACT_DEPTH
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -59,19 +66,49 @@ class FiniteSpace:
     def n(self) -> int:
         return len(self.states)
 
-    def index(self, label) -> int:
-        return self.states.index(label)
+    def point(self, v) -> int:
+        """A state index from an index in range or a state label (a string); nothing is coerced."""
+        if isinstance(v, str) and v in self.states:
+            return self.states.index(v)
+        if isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v < self.n:
+            return int(v)
+        raise ValueError(f"a point is a state index in [0, {self.n}) or a state label, not {v!r}")
+
+    def label(self, x) -> str:
+        """The CSV cell of a state index."""
+        return self.states[x]
+
+    def forward(self, x):
+        """The endomorphism r on a state index or an array of them."""
+        if self.endo is None:
+            raise NoEndomorphismError("space has no endomorphism")
+        return np.asarray(self.endo)[x]
 
     def fiber(self, i: int) -> tuple[int, ...]:
         """Inverse image r^{-1}(states[i]) as a tuple of indices."""
-        if self.endo is None:
-            raise NoEndomorphismError("space has no endomorphism")
-        return tuple(j for j in range(self.n) if self.endo[j] == i)
+        return tuple(np.flatnonzero(self.forward(np.arange(self.n)) == i).tolist())
 
-    def apply_endo(self, i: int) -> int:
-        if self.endo is None:
-            raise NoEndomorphismError("space has no endomorphism")
-        return self.endo[i]
+    def compose_with_endo(self, phi: "Observable") -> "Observable":
+        return Observable.from_values(self, phi.values[self.forward(np.arange(self.n))])
+
+    def fiber_average(self, phi: "Observable") -> "Observable":
+        """The fibers are singletons, so the average is a gather by the inverse permutation."""
+        idx = np.arange(self.n)
+        inverse = np.empty_like(idx)
+        inverse[self.forward(idx)] = idx
+        return Observable.from_values(self, phi.values[inverse])
+
+    def default_test_basis(self) -> list["Observable"]:
+        """The state indicators."""
+        return [Observable.indicator(self, i) for i in range(self.n)]
+
+    def random_observable(self, rng, max_degree: int = 8) -> "Observable":
+        return Observable.from_values(self, rng.standard_normal(self.n))
+
+    def incompatible_transitions(self, words) -> int:
+        """Transitions x_k -> x_{k+1} with r(x_{k+1}) != x_k in equal-length words of indices."""
+        x = np.asarray(words)
+        return int(np.count_nonzero(self.forward(x[:, 1:]) != x[:, :-1]))
 
 
 @dataclass(frozen=True)
@@ -80,18 +117,39 @@ class CircleSpace:
 
     ``grid`` is the uniform evaluation grid used for sampling and pointwise
     (non-exact) checks; it plays no role in the coefficient algebra.
+    Points are exact angles t in [0, 1), standing for e^{2 pi i t}.
     """
 
     degree: int = DEFAULT_DEGREE
     grid: int = DEFAULT_GRID
+
+    max_exact_depth = math.inf
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
     @staticmethod
-    def forward(t: Angle) -> Angle:
-        """The doubling map on angles, r(t) = 2t mod 1."""
+    def point(v) -> Fraction:
+        """Exact angle mod 1 from an integer, a Fraction, an integral float, or a "p/q" string.
+
+        Any other value is refused: a float such as 0.1 would otherwise become its
+        binary expansion, a fraction with denominator 2^55.
+        """
+        if isinstance(v, str):
+            try:
+                return Fraction(v) % 1
+            except (ValueError, ZeroDivisionError):
+                pass
+        elif not isinstance(v, bool) and (isinstance(v, numbers.Rational) or isinstance(v, float) and v.is_integer()):
+            return Fraction(v) % 1
+        raise ValueError(f'an angle must be an integer or a "p/q" string, not {v!r}')
+
+    label = staticmethod(str)  # the CSV cell of an angle: "p/q"
+
+    @staticmethod
+    def forward(t):
+        """The doubling map on angles, r(t) = 2t mod 1 (also elementwise on arrays)."""
         return (2 * t) % 1
 
     @staticmethod
@@ -100,11 +158,51 @@ class CircleSpace:
         t = Fraction(t) % 1
         return (t / 2, (t + 1) / 2)
 
+    def compose_with_endo(self, phi: "Observable") -> "Observable":
+        """Index doubling: the stride-2 scatter."""
+        return Observable.from_coeffs(self, doubled(phi.coeffs), 2 * phi.offset)
+
+    def fiber_average(self, phi: "Observable") -> "Observable":
+        """Keep the even coefficients, halving their index: the stride-2 gather."""
+        start = phi.offset % 2  # position of the first even index
+        return Observable.from_coeffs(self, phi.coeffs[start::2], (phi.offset + start) // 2)
+
+    def default_test_basis(self) -> list["Observable"]:
+        """All characters within the degree bound."""
+        return [Observable.character(self, n) for n in range(-self.degree, self.degree + 1)]
+
+    def random_observable(self, rng, max_degree: int = 8) -> "Observable":
+        d = min(max_degree, self.degree // 8) or 1
+        coeffs = {n: complex(rng.standard_normal(), rng.standard_normal()) for n in range(-d, d + 1)}
+        return Observable.from_fourier(self, coeffs)
+
+    @staticmethod
+    def incompatible_transitions(words) -> int:
+        """Transitions x_k -> x_{k+1} with 2 x_{k+1} != x_k (mod 1) in equal-length angle words.
+
+        With x_{k+1} = a/b and x_k = c/d in [0, 1), 2a/b = c/d (mod 1) iff
+        (2ad - cb) mod bd = 0.  Every product is below 2bd, so int64 holds it
+        while each denominator is below 2^31; beyond, the test runs on Python ints.
+        """
+        x = np.asarray(words, dtype=object)
+        if not x.size:
+            return 0
+        try:
+            den = np.fromiter((t.denominator for t in x.flat), np.int64, x.size)
+        except OverflowError:  # a denominator of 2^63 or more
+            den = np.fromiter((t.denominator for t in x.flat), object, x.size)
+        if den.max() >= 2**31:
+            den = den.astype(object)
+        num = np.fromiter((t.numerator for t in x.flat), den.dtype, x.size)
+        num, den = num.reshape(x.shape), den.reshape(x.shape)
+        a, b, c, d = num[:, 1:], den[:, 1:], num[:, :-1], den[:, :-1]
+        return int(np.count_nonzero((2 * a * d - c * b) % (b * d)))
+
 
 Space = Union[FiniteSpace, CircleSpace]
 
 
-def angle_point(t: Angle) -> complex:
+def angle_point(t: Fraction | float) -> complex:
     """e^{2 pi i t}."""
     return cmath.exp(2j * cmath.pi * float(t))
 
@@ -112,6 +210,12 @@ def angle_point(t: Angle) -> complex:
 def _check_same(a: Space, b: Space) -> None:
     if a != b:
         raise CarrierMismatchError(f"carriers differ: {a!r} vs {b!r}")
+
+
+def _require(space, carrier: type, what: str) -> None:
+    """Refuse a space that is not of the given carrier type."""
+    if not isinstance(space, carrier):
+        raise CarrierMismatchError(f"{what} needs a {carrier.__name__}, not {type(space).__name__}")
 
 
 def dense_coeffs(coeffs: Mapping[int, complex]) -> tuple[np.ndarray, int]:
@@ -166,6 +270,7 @@ class Observable:
 
     @classmethod
     def from_values(cls, space: FiniteSpace, values: Sequence) -> "Observable":
+        _require(space, FiniteSpace, "a 'values' observable")
         arr = np.asarray(values)
         if arr.shape != (space.n,):
             raise ValueError("value vector length must match the state count")
@@ -174,6 +279,7 @@ class Observable:
     @classmethod
     def from_coeffs(cls, space: CircleSpace, coeffs, offset: int = 0) -> "Observable":
         """coeffs[j] is the coefficient of z^(offset + j); the array is trimmed, not copied."""
+        _require(space, CircleSpace, "a Fourier observable")
         c = np.asarray(coeffs, dtype=complex)
         if not (c.size and c[0] and c[-1]):  # trim the zero ends
             nz = np.flatnonzero(c)
@@ -201,9 +307,9 @@ class Observable:
         return cls.from_coeffs(space, np.ones(1, dtype=complex), n)
 
     @classmethod
-    def indicator(cls, space: FiniteSpace, i: int) -> "Observable":
+    def indicator(cls, space: FiniteSpace, i) -> "Observable":
         v = np.zeros(space.n)
-        v[i] = 1.0
+        v[space.point(i)] = 1.0
         return cls.from_values(space, v)
 
     # -- basic queries -----------------------------------------------------
@@ -225,10 +331,14 @@ class Observable:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate: state index (finite) or angle / unit-modulus complex (circle)."""
+        """Evaluate at a point, or elementwise on an array of points: state indices
+        (finite), or angles or unit-modulus complex numbers (circle)."""
         if self.values is not None:
             return self.values[x]
-        z = x if isinstance(x, complex) else angle_point(x)
+        if isinstance(x, np.ndarray):
+            z = x if np.iscomplexobj(x) else np.exp(2j * np.pi * x.astype(float))
+        else:
+            z = x if isinstance(x, complex) else angle_point(x)
         return horner(self.coeffs, self.offset, z)
 
     def eval_grid(self, size: int | None = None) -> np.ndarray:
@@ -302,6 +412,7 @@ class Measure:
 
     @classmethod
     def from_weights(cls, space: FiniteSpace, weights: Sequence) -> "Measure":
+        _require(space, FiniteSpace, "a weighted measure")
         w = np.asarray(weights, dtype=float)
         if w.shape != (space.n,):
             raise ValueError("weight vector length must match the state count")
@@ -313,30 +424,41 @@ class Measure:
 
     @classmethod
     def uniform(cls, space: FiniteSpace) -> "Measure":
+        _require(space, FiniteSpace, "a uniform measure")
         return cls.from_weights(space, np.full(space.n, 1.0 / space.n))
 
     @classmethod
-    def point_mass(cls, space: FiniteSpace, i: int) -> "Measure":
+    def point_mass(cls, space: FiniteSpace, i) -> "Measure":
+        _require(space, FiniteSpace, "a point mass")
         w = np.zeros(space.n)
-        w[i] = 1.0
+        w[space.point(i)] = 1.0
         return cls.from_weights(space, w)
 
     @classmethod
     def haar_measure(cls, space: CircleSpace) -> "Measure":
+        _require(space, CircleSpace, "the Haar measure")
         return cls(space, haar=True)
 
     def full_support(self) -> bool:
         return self.haar or bool(np.all(self.weights > 0))
 
+    def integrate(self, phi: Observable):
+        """integral of phi: a weighted sum, or the 0th Fourier coefficient (Haar)."""
+        _check_same(self.space, phi.space)
+        if self.haar:
+            j = -phi.offset
+            return complex(phi.coeffs[j]) if 0 <= j < phi.coeffs.size else 0.0
+        val = np.dot(self.weights, phi.values)
+        return complex(val) if np.iscomplexobj(phi.values) else float(val)
+
+    def report(self) -> dict:
+        """The report fields of the measure: its weights, or none for Haar."""
+        return {} if self.haar else {"measure_weights": list(self.weights)}
+
 
 def integrate(mu: Measure, phi: Observable):
-    """integral of phi against mu: a weighted sum, or the 0th Fourier coefficient."""
-    _check_same(mu.space, phi.space)
-    if mu.haar:
-        j = -phi.offset
-        return complex(phi.coeffs[j]) if 0 <= j < phi.coeffs.size else 0.0
-    val = np.dot(mu.weights, phi.values)
-    return complex(val) if np.iscomplexobj(phi.values) else float(val)
+    """integral of phi against mu."""
+    return mu.integrate(phi)
 
 
 def inner_product(mu: Measure, phi: Observable, psi: Observable):
@@ -346,36 +468,12 @@ def inner_product(mu: Measure, phi: Observable, psi: Observable):
 
 def compose_with_endo(phi: Observable) -> Observable:
     """phi o r.  On the circle this doubles every Fourier index."""
-    space = phi.space
-    if isinstance(space, CircleSpace):
-        return Observable.from_coeffs(space, doubled(phi.coeffs), 2 * phi.offset)
-    if space.endo is None:
-        raise NoEndomorphismError("space has no endomorphism")
-    return Observable.from_values(space, phi.values[np.asarray(space.endo)])
+    return phi.space.compose_with_endo(phi)
 
 
 def fiber_average(phi: Observable) -> Observable:
-    """x -> (1 / #r^{-1}(x)) sum_{r(y)=x} phi(y).
-
-    On the circle (doubling map) this keeps even coefficients, halving their
-    index; on a finite space the (bijective) fibers are singletons.
-    """
-    space = phi.space
-    if isinstance(space, CircleSpace):
-        start = phi.offset % 2  # position of the first even index
-        return Observable.from_coeffs(space, phi.coeffs[start::2], (phi.offset + start) // 2)
-    out = np.empty(space.n, dtype=phi.values.dtype)
-    for i in range(space.n):
-        fib = space.fiber(i)
-        out[i] = sum(phi.values[j] for j in fib) / len(fib)
-    return Observable.from_values(space, out)
-
-
-def default_test_basis(space: Space) -> list[Observable]:
-    """State indicators (finite) or all characters within the degree bound (circle)."""
-    if isinstance(space, CircleSpace):
-        return [Observable.character(space, n) for n in range(-space.degree, space.degree + 1)]
-    return [Observable.indicator(space, i) for i in range(space.n)]
+    """x -> (1 / #r^{-1}(x)) sum_{r(y)=x} phi(y)."""
+    return phi.space.fiber_average(phi)
 
 
 def strong_invariance_check(
@@ -387,9 +485,7 @@ def strong_invariance_check(
     """
     space = space or mu.space
     _check_same(mu.space, space)
-    if isinstance(space, FiniteSpace) and space.endo is None:
-        raise NoEndomorphismError("strong invariance requires an endomorphism")
-    basis = basis if basis is not None else default_test_basis(space)
+    basis = basis if basis is not None else space.default_test_basis()
     res = 0.0
     for phi in basis:
         res = max(res, abs(integrate(mu, phi) - integrate(mu, fiber_average(phi))))

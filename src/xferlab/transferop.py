@@ -13,6 +13,7 @@ validated at construction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from dataclasses import dataclass
@@ -21,13 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CarrierMismatchError,
-    ConvergenceError,
-    NoEndomorphismError,
-    NormalizationError,
-    ReducibleChainWarning,
-)
+from .errors import ConvergenceError, NormalizationError, ReducibleChainWarning
+from .rng import chunk_sizes, chunk_stream
 from .statespace import (
     CircleSpace,
     FiniteSpace,
@@ -39,7 +35,9 @@ from .statespace import (
     dense_coeffs,
     doubled,
     horner,
+    inner_product,
     _check_same,
+    _require,
 )
 
 UNITALITY_TOL = 1e-12
@@ -50,7 +48,8 @@ POWER_ITER_MAX = 10**6
 
 
 class TransferOperator:
-    """Common interface: apply, powers, unitality/positivity residuals."""
+    """Common interface: apply and powers, plus what each carrier does its own way:
+    adjoint_apply, invariant_measure, support_mass, absorbing_states and walk."""
 
     def apply(self, phi: Observable) -> Observable:
         raise NotImplementedError
@@ -73,6 +72,7 @@ class MatrixOperator(TransferOperator):
     kernel: np.ndarray
 
     def __post_init__(self):
+        _require(self.space, FiniteSpace, "a matrix operator")
         k = np.asarray(self.kernel, dtype=float)
         if k.shape != (self.space.n, self.space.n):
             raise ValueError("kernel must be square and match the state count")
@@ -87,14 +87,82 @@ class MatrixOperator(TransferOperator):
         _check_same(self.space, phi.space)
         return Observable.from_values(self.space, self.kernel @ phi.values)
 
-    def power(self, k: int) -> "MatrixOperator":
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        return MatrixOperator(self.space, np.linalg.matrix_power(self.kernel, k))
-
     def fingerprint(self) -> str:
         h = hashlib.sha256(np.ascontiguousarray(self.kernel))
         return "matrix:" + h.hexdigest()[:16]
+
+    def adjoint_apply(self, mu: Measure, psi: Observable) -> Observable:
+        """(R* psi)(y) = sum_x mu(x) K[x,y] psi(x) / mu(y), requiring full support."""
+        if not mu.full_support():
+            raise ValueError("adjoint undefined at zero-mass states: mu must have full support")
+        vals = (self.kernel.T @ (mu.weights * psi.values)) / mu.weights
+        return Observable.from_values(self.space, vals)
+
+    def invariant_measure(self) -> Measure:
+        """See ``invariant_measure``: a direct solve up to 64 states, the lazy chain beyond."""
+        k = self.kernel
+        n = self.space.n
+        if _closed_class_count(k) > 1:
+            warnings.warn(
+                "the chain has more than one closed class; returning one fixed point",
+                ReducibleChainWarning,
+            )
+        if n <= DIRECT_SOLVE_MAX:
+            a = np.vstack([k.T - np.eye(n), np.ones(n)])
+            b = np.zeros(n + 1)
+            b[-1] = 1.0
+            w, *_ = np.linalg.lstsq(a, b, rcond=None)
+        else:
+            w = np.full(n, 1.0 / n)
+            for _ in range(POWER_ITER_MAX):
+                nxt = 0.5 * (w + w @ k)  # one step of the lazy chain (I + K)/2
+                moved = np.max(np.abs(nxt - w))
+                w = nxt
+                if moved < POWER_ITER_TOL:
+                    break
+            else:
+                raise ConvergenceError(
+                    f"power iteration did not converge in {POWER_ITER_MAX} steps (last move {moved})"
+                )
+        w = np.clip(w, 0.0, None)
+        w /= w.sum()
+        return Measure.from_weights(self.space, w)
+
+    def support_mass(self, x, n: int) -> float:
+        """The mass that survives n - 1 steps along r: each step goes from r(y) to y only."""
+        idx = np.arange(self.space.n)
+        back = self.space.forward(idx)
+        mass = np.zeros(self.space.n)
+        mass[self.space.point(x)] = 1.0
+        for _ in range(n - 1):
+            mass = mass[back] * self.kernel[back, idx]
+        return float(mass.sum())
+
+    def absorbing_states(self) -> list[int]:
+        """States x with K[x, x] = 1 within 1e-12."""
+        return np.flatnonzero(np.isclose(np.diag(self.kernel), 1.0, atol=1e-12)).tolist()
+
+    def walk(self, root, n: int, count: int, seed: int):
+        """The walker of ``sample_paths``: the shared bisection step, vectorised across paths."""
+        from .pathmeasure import PathEnsemble, _cdf_table, _next_states
+
+        if not isinstance(root, Measure):
+            root = self.space.point(root)
+        table = _cdf_table(self.kernel)
+        out = np.empty((count, n), dtype=np.intp)
+        pos = 0
+        for ci, size in enumerate(chunk_sizes(count)):
+            rng = chunk_stream(seed, ci)
+            if isinstance(root, Measure):
+                x = rng.choice(self.space.n, size=size, p=root.weights)
+            else:
+                x = np.full(size, root, dtype=np.intp)
+            out[pos : pos + size, 0] = x
+            for step in range(1, n):
+                x = _next_states(table, x, rng.random(size))
+                out[pos : pos + size, step] = x
+            pos += size
+        return PathEnsemble(self.space, root, n, out, seed, self.fingerprint())
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +179,7 @@ class CircleRuelleOperator(TransferOperator):
     m0: dict[int, complex] | None = None
 
     def __post_init__(self):
+        _require(self.space, CircleSpace, "a Ruelle operator with a trig-polynomial weight")
         w = {int(n): complex(c) for n, c in self.weight.items() if c != 0}
         object.__setattr__(self, "weight", w)
         # unitality: (R 1)_k = 2 W_{2k} must be the delta at 0
@@ -155,6 +224,59 @@ class CircleRuelleOperator(TransferOperator):
         h = hashlib.sha256(repr(items).encode())
         return "ruelle:" + h.hexdigest()[:16]
 
+    def adjoint_apply(self, mu: Measure, psi: Observable) -> Observable:
+        """(R* psi)(x) = |m0(x)|^2 psi(r(x)) in L^2(Haar), the only measure on the circle carrier."""
+        if self.m0 is None:
+            raise ValueError("circle adjoint requires the generating filter m0")
+        prod = convolve(2 * self._w, doubled(psi.coeffs))  # |m0|^2 (psi o r)
+        return Observable.from_coeffs(self.space, prod, self._w_offset + 2 * psi.offset)
+
+    def invariant_measure(self) -> Measure:
+        """Haar, exactly when it is invariant; see ``invariant_measure``."""
+        # mu o R = mu on characters e_n reads 2 W_{-n} = delta_{n,0}
+        for n, c in self.weight.items():
+            if n != 0 and abs(c) > UNITALITY_TOL:
+                raise ValueError(
+                    "Haar is not invariant for this weight (W is not constant 1/2); "
+                    "no trig-polynomial-representable invariant measure exists"
+                )
+        return Measure.haar_measure(self.space)
+
+    def support_mass(self, x, n: int) -> float:
+        """1.0 by construction: every backward branch is a preimage, and R1 = 1 was checked."""
+        return 1.0
+
+    def absorbing_states(self) -> list[int]:
+        """No state absorbs: the backward walk on the circle never stops."""
+        return []
+
+    def walk(self, root, n: int, count: int, seed: int):
+        """The walker of ``sample_paths``: from angle t to a square root of it, weighted by W.
+
+        Paths are exact angles, stored row by row in an object array of Fractions.
+        """
+        from .pathmeasure import PathEnsemble
+
+        if isinstance(root, Measure):
+            raise ValueError("mu-rooted sampling is not supported on the circle carrier")
+        t0 = self.space.point(root)
+        branches = functools.cache(self.transition_weights)  # a walk revisits few angles
+        out = np.empty((count, n), dtype=object)
+        row = 0
+        for ci, size in enumerate(chunk_sizes(count)):
+            rng = chunk_stream(seed, ci)
+            u = rng.random((size, max(n - 1, 1)))
+            for i in range(size):
+                path = [t0]
+                t = t0
+                for step in range(n - 1):
+                    (u0, p0), (u1, _p1) = branches(t)
+                    t = u0 if u[i, step] < p0 else u1
+                    path.append(t)
+                out[row] = np.fromiter(path, object, n)  # skips numpy's per-entry type discovery
+                row += 1
+        return PathEnsemble(self.space, t0, n, out, seed, self.fingerprint())
+
 
 def matrix_operator(space: FiniteSpace, rows: Sequence[Sequence[float]]) -> MatrixOperator:
     return MatrixOperator(space, np.asarray(rows, dtype=float))
@@ -166,12 +288,10 @@ def ruelle_from_endo(space: FiniteSpace, W: Sequence[float] | None = None) -> Ma
     Fibers are singletons (finite onto maps are bijections), so W must be
     identically 1 and the operator is the permutation pullback by r^{-1}.
     """
-    if space.endo is None:
-        raise NoEndomorphismError("Ruelle construction requires an endomorphism")
-    w = np.ones(space.n) if W is None else np.asarray(W, dtype=float)
+    _require(space, FiniteSpace, "a Ruelle operator of an endomorphism")
+    idx = np.arange(space.n)
     k = np.zeros((space.n, space.n))
-    for y in range(space.n):
-        k[space.endo[y], y] = w[y]
+    k[space.forward(idx), idx] = np.ones(space.n) if W is None else np.asarray(W, dtype=float)
     return MatrixOperator(space, k)
 
 
@@ -231,19 +351,8 @@ def adjoint_apply(R: TransferOperator, mu: Measure, psi: Observable) -> Observab
     (R* psi)(x) = |m0(x)|^2 psi(r(x)).
     """
     _check_same(R.space, psi.space)
-    if isinstance(R, MatrixOperator):
-        if mu.weights is None:
-            raise CarrierMismatchError("finite adjoint requires a finite measure")
-        if not mu.full_support():
-            raise ValueError("adjoint undefined at zero-mass states: mu must have full support")
-        vals = (R.kernel.T @ (mu.weights * psi.values)) / mu.weights
-        return Observable.from_values(R.space, vals)
-    if not mu.haar:
-        raise ValueError("circle adjoint is implemented for the Haar measure only")
-    if R.m0 is None:
-        raise ValueError("circle adjoint requires the generating filter m0")
-    prod = convolve(2 * R._w, doubled(psi.coeffs))  # |m0|^2 (psi o r)
-    return Observable.from_coeffs(R.space, prod, R._w_offset + 2 * psi.offset)
+    _check_same(R.space, mu.space)
+    return R.adjoint_apply(mu, psi)
 
 
 def _closed_class_count(kernel: np.ndarray) -> int:
@@ -314,63 +423,15 @@ def invariant_measure(R: TransferOperator) -> Measure:
     otherwise no representable invariant measure exists and a ValueError is
     raised.
     """
-    if isinstance(R, CircleRuelleOperator):
-        # mu o R = mu on characters e_n reads 2 W_{-n} = delta_{n,0}
-        for n, c in R.weight.items():
-            if n != 0 and abs(c) > UNITALITY_TOL:
-                raise ValueError(
-                    "Haar is not invariant for this weight (W is not constant 1/2); "
-                    "no trig-polynomial-representable invariant measure exists"
-                )
-        return Measure.haar_measure(R.space)
-    k = R.kernel
-    n = R.space.n
-    if _closed_class_count(k) > 1:
-        warnings.warn(
-            "the chain has more than one closed class; returning one fixed point",
-            ReducibleChainWarning,
-        )
-    if n <= DIRECT_SOLVE_MAX:
-        a = np.vstack([k.T - np.eye(n), np.ones(n)])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        w, *_ = np.linalg.lstsq(a, b, rcond=None)
-    else:
-        w = np.full(n, 1.0 / n)
-        for _ in range(POWER_ITER_MAX):
-            nxt = 0.5 * (w + w @ k)  # one step of the lazy chain (I + K)/2
-            moved = np.max(np.abs(nxt - w))
-            w = nxt
-            if moved < POWER_ITER_TOL:
-                break
-        else:
-            raise ConvergenceError(
-                f"power iteration did not converge in {POWER_ITER_MAX} steps (last move {moved})"
-            )
-    w = np.clip(w, 0.0, None)
-    w /= w.sum()
-    return Measure.from_weights(R.space, w)
+    return R.invariant_measure()
 
 
 def stationarity_residual(R: TransferOperator, mu: Measure) -> float:
     """Max over a basis of |int R(phi) dmu - int phi dmu|."""
-    from .statespace import default_test_basis, integrate
-
     res = 0.0
-    for phi in default_test_basis(R.space):
-        res = max(res, abs(integrate(mu, R.apply(phi)) - integrate(mu, phi)))
+    for phi in R.space.default_test_basis():
+        res = max(res, abs(mu.integrate(R.apply(phi)) - mu.integrate(phi)))
     return res
-
-
-def _random_observable(space, rng, max_degree: int = 8) -> Observable:
-    if isinstance(space, CircleSpace):
-        d = min(max_degree, space.degree // 8) or 1
-        coeffs = {
-            n: complex(rng.standard_normal(), rng.standard_normal())
-            for n in range(-d, d + 1)
-        }
-        return Observable.from_fourier(space, coeffs)
-    return Observable.from_values(space, rng.standard_normal(space.n))
 
 
 def pullout_check(R: TransferOperator, n_pairs: int = 20, seed: int = 7) -> float:
@@ -378,14 +439,11 @@ def pullout_check(R: TransferOperator, n_pairs: int = 20, seed: int = 7) -> floa
 
     Zero certifies the pull-out axiom tying R to the endomorphism.
     """
-    space = R.space
-    if isinstance(space, FiniteSpace) and space.endo is None:
-        raise NoEndomorphismError("pull-out check requires an endomorphism")
     rng = np.random.default_rng(seed)
     res = 0.0
     for _ in range(n_pairs):
-        phi = _random_observable(space, rng)
-        psi = _random_observable(space, rng)
+        phi = R.space.random_observable(rng)
+        psi = R.space.random_observable(rng)
         lhs = R.apply(compose_with_endo(phi) * psi)
         rhs = phi * R.apply(psi)
         res = max(res, (lhs - rhs).coeff_norm())
@@ -402,14 +460,12 @@ def composition_isometry_residual(
 
     Zero iff the operator built from |m0|^2 is unital (QMF condition).
     """
-    from .statespace import inner_product
-
     mu = Measure.haar_measure(space)
     m = Observable.from_fourier(space, m0)
     rng = np.random.default_rng(seed)
     res = 0.0
     for _ in range(n_funcs):
-        f = _random_observable(space, rng, max_degree=min(8, space.degree // 4))
+        f = space.random_observable(rng, max_degree=min(8, space.degree // 4))
         g = m * compose_with_endo(f)
         res = max(res, abs(inner_product(mu, g, g) - inner_product(mu, f, f)))
     return res

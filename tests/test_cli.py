@@ -12,6 +12,38 @@ from xferlab.serialize import angle_from_json
 TWO_STATE = {"kind": "finite", "states": ["a", "b"]}
 CHAIN_OP = {"kind": "matrix", "rows": [[0.75, 0.25], [0.5, 0.5]]}
 HAAR = {"coeffs": [0.7071067811865476, 0.7071067811865476]}
+CIRCLE = {"kind": "circle", "degree": 8}
+HAAR_OP = {"kind": "ruelle", "m0": {"0": HAAR["coeffs"][0], "1": HAAR["coeffs"][1]}}
+ONE_ON_CIRCLE = [{"fourier": {"0": 1.0}}]
+ONE_ON_TWO_STATES = [{"values": [1, 1]}]
+
+
+def _expect(space, operator, word, **extra):
+    return "expectation", {"space": space, "operator": operator, "word": word, **extra}
+
+
+# config -> (task, config, a fragment of the exit-2 message); every one is refused before any numerics
+INCONSISTENT = {
+    "rows-not-stochastic": _expect(TWO_STATE, {"kind": "matrix", "rows": [[0.6, 0.3], [0.5, 0.5]]},
+                                   [{"values": [1, 0]}]) + ("rows must sum to 1",),
+    "values-on-circle": _expect(CIRCLE, HAAR_OP, [{"values": [1, 0]}], point=0) + ("needs a FiniteSpace",),
+    "fourier-on-finite": _expect(TWO_STATE, CHAIN_OP, ONE_ON_CIRCLE, point=0) + ("needs a CircleSpace",),
+    "matrix-on-circle": _expect(CIRCLE, CHAIN_OP, ONE_ON_CIRCLE, point=0) + ("needs a FiniteSpace",),
+    "endo-on-circle": _expect(CIRCLE, {"kind": "endo"}, ONE_ON_CIRCLE, point=0) + ("needs a FiniteSpace",),
+    "ruelle-on-finite": _expect(TWO_STATE, HAAR_OP, ONE_ON_TWO_STATES, point=0) + ("needs a CircleSpace",),
+    "haar-on-finite": _expect(TWO_STATE, CHAIN_OP, ONE_ON_TWO_STATES, measure={"kind": "haar"})
+    + ("needs a CircleSpace",),
+    "uniform-on-circle": _expect(CIRCLE, HAAR_OP, ONE_ON_CIRCLE, measure={"kind": "uniform"})
+    + ("needs a FiniteSpace",),
+    "point-negative": _expect(TWO_STATE, CHAIN_OP, ONE_ON_TWO_STATES, point=-1) + ("state index in [0, 2)",),
+    "point-fractional": _expect(TWO_STATE, CHAIN_OP, ONE_ON_TWO_STATES, point=1.5) + ("state index in [0, 2)",),
+    "point-past-the-end": _expect(TWO_STATE, CHAIN_OP, ONE_ON_TWO_STATES, point=5) + ("state index in [0, 2)",),
+    "sample-root-negative": ("sample", {"space": TWO_STATE, "operator": CHAIN_OP, "root": -1, "depth": 3,
+                                        "count": 10, "seed": 1}, "state index in [0, 2)"),
+    "harmonic-start-negative": ("harmonic", {"edges": [[0, 1, 1.0], [1, 2, 2.0]], "vertices": 3, "boundary": [0, 2],
+                                             "boundary_values": {"0": 0.0, "2": 1.0}, "start": -2, "count": 100,
+                                             "seed": 1}, "state index in [0, 3)"),
+}
 
 
 def run(tmp_path, task, cfg, extra=()):
@@ -49,10 +81,11 @@ class TestExitCodes:
         assert angle_from_json(-1) == angle_from_json(2.0) == 0
         assert angle_from_json(" 5/8 ") == Fraction(5, 8)
 
-    def test_inconsistent_config_is_config_error(self, tmp_path):
-        cfg = {"space": TWO_STATE, "operator": {"kind": "matrix", "rows": [[0.6, 0.3], [0.5, 0.5]]}, "word": [{"values": [1, 0]}]}
-        code, _ = run(tmp_path, "expectation", cfg)
+    @pytest.mark.parametrize("task,cfg,message", INCONSISTENT.values(), ids=INCONSISTENT.keys())
+    def test_inconsistent_config_is_config_error(self, tmp_path, capsys, task, cfg, message):
+        code, _ = run(tmp_path, task, cfg)
         assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_failing_claim_is_exit_one(self, tmp_path):
         cfg = {
@@ -69,6 +102,12 @@ class TestExitCodes:
 
 
 class TestTasks:
+    def test_finite_point_by_label(self, tmp_path):
+        cfg = {"space": TWO_STATE, "operator": CHAIN_OP, "word": [{"values": [1, 0]}] * 3, "point": "a"}
+        code, report = run(tmp_path, "expectation", cfg)
+        assert code == 0
+        assert report["expectation"] == pytest.approx(0.5625)
+
     def test_expectation_report(self, tmp_path):
         cfg = {
             "space": TWO_STATE,

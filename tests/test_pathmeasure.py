@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xferlab import (
+    CarrierMismatchError,
     CircleSpace,
     CylinderFunctional,
     EnsembleRequiredError,
@@ -202,6 +203,66 @@ class TestSampling:
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "x1,x2,x3"
         assert len(rows) == 11
+
+
+@pytest.fixture(params=["finite", "circle"])
+def carrier(request, two_state, circle_R):
+    """(space, operator, root, a second operator on the same space) on each carrier."""
+    if request.param == "finite":
+        sp, R = two_state
+        return sp, R, 1, matrix_operator(sp, [[0.5, 0.5], [0.5, 0.5]])
+    space, R = circle_R
+    return space, R, Fraction(2, 7), ruelle_from_filter(space, daubechies4().m0_coeffs())
+
+
+class TestEnsembleLayout:
+    def test_samples_are_one_array_of_points(self, carrier):
+        space, R, root, _ = carrier
+        ens = sample_paths(R, root, 4, 30, seed=2)
+        assert ens.samples.shape == (30, 4) and ens.count == 30
+        assert all(x == root for x in ens.samples[:, 0])
+        if isinstance(space, CircleSpace):
+            assert ens.samples.dtype == object and all(type(t) is Fraction for t in ens.samples.flat)
+        else:
+            assert ens.samples.dtype == np.intp
+
+    def test_merge_concatenates_the_rows(self, carrier):
+        _, R, root, _ = carrier
+        a = sample_paths(R, root, 4, 50, seed=1)
+        b = sample_paths(R, root, 4, 30, seed=2)
+        merged = a.merge(b)
+        assert merged.count == a.count + b.count == 80
+        assert merged.samples.dtype == a.samples.dtype
+        assert merged.samples.tolist() == a.samples.tolist() + b.samples.tolist()
+
+    def test_merge_refuses_another_experiment(self, carrier):
+        _, R, root, other = carrier
+        a = sample_paths(R, root, 4, 10, seed=1)
+        for b in (sample_paths(other, root, 4, 10, seed=1), sample_paths(R, root, 3, 10, seed=1)):
+            with pytest.raises(CarrierMismatchError):
+                a.merge(b)
+
+    def test_observable_on_an_array_of_points_matches_per_point_calls(self, carrier):
+        space, R, root, _ = carrier
+        ens = sample_paths(R, root, 5, 200, seed=3)
+        rng = np.random.default_rng(4)
+        phi = space.random_observable(rng)
+        for j in range(ens.depth):
+            column = ens.samples[:, j]
+            got, ref = phi(column), np.array([phi(x) for x in column])
+            if isinstance(space, CircleSpace):
+                # array and scalar complex arithmetic may round differently (fused multiply-add)
+                l1 = float(np.abs(phi.coeffs).sum())
+                assert np.max(np.abs(got - ref)) <= 4 * (phi.coeffs.size + 1) * np.finfo(float).eps * l1
+            else:
+                assert np.array_equal(got, ref)
+
+    def test_root_out_of_range_is_refused(self, two_state):
+        sp, R = two_state
+        for bad in (-1, 2, 1.5, True):
+            with pytest.raises(ValueError):
+                sample_paths(R, bad, 3, 10, seed=1)
+        assert sample_paths(R, "b", 3, 10, seed=1).samples[:, 0].tolist() == [1] * 10
 
 
 class TestOperatorPair:

@@ -58,12 +58,32 @@ class TestFiniteSpace:
     def test_fiber_inverts_endo(self, chain):
         for i in range(chain.n):
             (j,) = chain.fiber(i)
-            assert chain.apply_endo(j) == i
+            assert chain.forward(j) == i
 
     def test_no_endo_raises(self):
         sp = FiniteSpace(("a", "b"))
         with pytest.raises(NoEndomorphismError):
             sp.fiber(0)
+
+    def test_points_are_checked_not_coerced(self, chain):
+        assert chain.point(2) == chain.point(np.int64(2)) == chain.point("c") == 2
+        for bad in (-1, 3, 1.5, 1.0, True, "z", "1", None):
+            with pytest.raises(ValueError):
+                chain.point(bad)
+
+    @given(perm=st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([float, complex, int]))
+    @settings(max_examples=100, deadline=None)
+    def test_fiber_average_is_the_inverse_permutation_gather(self, perm, seed, dtype):
+        sp = FiniteSpace(tuple(range(len(perm))), endo=tuple(perm))
+        values = (np.random.default_rng(seed).standard_normal(sp.n) * 100).astype(dtype)
+        phi = Observable.from_values(sp, values)
+        oracle = np.empty(sp.n, dtype=values.dtype)  # the per-fiber average, one fiber at a time
+        for i in range(sp.n):
+            fib = sp.fiber(i)
+            oracle[i] = sum(values[j] for j in fib) / len(fib)
+        got = fiber_average(phi).values
+        assert got.dtype == oracle.dtype and np.array_equal(got, oracle)
 
 
 class TestObservableAlgebra:
@@ -88,6 +108,13 @@ class TestObservableAlgebra:
     def test_exact_rational_angle_evaluation(self, circle):
         e1 = Observable.character(circle, 1)
         assert e1(Fraction(1, 4)) == pytest.approx(1j)
+
+    def test_circle_points_are_exact_angles(self):
+        assert CircleSpace.point(Fraction(5, 4)) == CircleSpace.point("1/4") == Fraction(1, 4)
+        assert CircleSpace.point(np.int64(3)) == CircleSpace.point(2.0) == 0
+        for bad in (0.25, True, [1, 4], "quarter"):
+            with pytest.raises(ValueError):
+                CircleSpace.point(bad)
 
     @given(
         coeffs=st.dictionaries(
