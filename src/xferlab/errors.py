@@ -34,7 +34,7 @@ class NormalizationError(XferlabError, ValueError):
 
 
 class ConvergenceError(XferlabError):
-    """An iterative solver reached its iteration cap without certifying convergence."""
+    """A solver could not certify its result."""
 
 
 class ReducibleChainWarning(UserWarning):

@@ -243,8 +243,10 @@ def simulate_absorbing(
     """Run walks from `start` until they hit an absorbing state or the step cap.
 
     Returns (final state per walk, number of walks that hit the cap); capped
-    walks are reported, never silently dropped.
+    walks are reported, never silently dropped.  A start outside [0, n) raises ValueError.
     """
+    if not 0 <= start < len(kernel):
+        raise ValueError(f"start must be a state index in [0, {len(kernel)}), got {start}")
     table = _cdf_table(kernel)
     finals = np.empty(count, dtype=np.intp)
     capped = 0

@@ -42,14 +42,12 @@ from .statespace import (
 
 UNITALITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
-DIRECT_SOLVE_MAX = 64
-POWER_ITER_TOL = 1e-13
-POWER_ITER_MAX = 10**6
+CERTIFICATE_C = 16  # finite invariant measures: residual <= c n eps + row-sum error
 
 
 class TransferOperator:
-    """Common interface: apply and powers, plus what each carrier does its own way:
-    adjoint_apply, invariant_measure, support_mass, absorbing_states and walk."""
+    """Common interface: apply and powers, plus what each carrier does its own way: adjoint_apply,
+    invariant_measure, stationarity_residual, support_mass, absorbing_states and walk."""
 
     def apply(self, phi: Observable) -> Observable:
         raise NotImplementedError
@@ -99,34 +97,32 @@ class MatrixOperator(TransferOperator):
         return Observable.from_values(self.space, vals)
 
     def invariant_measure(self) -> Measure:
-        """See ``invariant_measure``: a direct solve up to 64 states, the lazy chain beyond."""
+        """See ``invariant_measure``: one bordered solve on the first closed class, certified."""
         k = self.kernel
-        n = self.space.n
-        if _closed_class_count(k) > 1:
-            warnings.warn(
-                "the chain has more than one closed class; returning one fixed point",
-                ReducibleChainWarning,
-            )
-        if n <= DIRECT_SOLVE_MAX:
-            a = np.vstack([k.T - np.eye(n), np.ones(n)])
-            b = np.zeros(n + 1)
-            b[-1] = 1.0
-            w, *_ = np.linalg.lstsq(a, b, rcond=None)
-        else:
-            w = np.full(n, 1.0 / n)
-            for _ in range(POWER_ITER_MAX):
-                nxt = 0.5 * (w + w @ k)  # one step of the lazy chain (I + K)/2
-                moved = np.max(np.abs(nxt - w))
-                w = nxt
-                if moved < POWER_ITER_TOL:
-                    break
-            else:
-                raise ConvergenceError(
-                    f"power iteration did not converge in {POWER_ITER_MAX} steps (last move {moved})"
-                )
-        w = np.clip(w, 0.0, None)
-        w /= w.sum()
-        return Measure.from_weights(self.space, w)
+        c, *others = _closed_classes(k)
+        if others:
+            msg = "the chain has more than one closed class; returning one fixed point"
+            warnings.warn(msg, ReducibleChainWarning)
+        # sum(w) = 1 replaces the last equation of a w = 0 and eliminates w[-1]: with m - 1 unknowns an
+        # OpenBLAS solve stays on one thread up to 100 states (two threads can stall ~0.1 s on a busy host)
+        a = k[np.ix_(c, c)].T - np.eye(len(c))
+        col = a[:-1, -1]
+        try:
+            x = np.linalg.solve(a[:-1, :-1] - col[:, None], -col)
+        except np.linalg.LinAlgError as exc:  # e.g. K[x, x] = 1 - 1e-18 rounds to 1 on two states
+            raise ConvergenceError(f"the bordered system is singular in floating point: {exc}") from exc
+        w = np.zeros(self.space.n)
+        w[c] = np.clip(np.r_[x, 1.0 - x.sum()], 0.0, None)
+        mu = Measure.from_weights(self.space, w / w.sum())
+        res = self.stationarity_residual(mu)
+        bound = CERTIFICATE_C * len(k) * np.finfo(float).eps + np.max(np.abs(k.sum(axis=1) - 1.0))
+        if not res <= bound:
+            raise ConvergenceError(f"stationarity residual {res} exceeds the certificate bound {bound}")
+        return mu
+
+    def stationarity_residual(self, mu: Measure) -> float:
+        """max_y |(mu K - mu)_y|: the sup over the state indicators, in one product."""
+        return float(np.max(np.abs(mu.weights @ self.kernel - mu.weights)))
 
     def support_mass(self, x, n: int) -> float:
         """The mass that survives n - 1 steps along r: each step goes from r(y) to y only."""
@@ -242,6 +238,13 @@ class CircleRuelleOperator(TransferOperator):
                 )
         return Measure.haar_measure(self.space)
 
+    def stationarity_residual(self, mu: Measure) -> float:
+        """Max over the characters of ``default_test_basis`` of |int R(phi) dmu - int phi dmu|."""
+        res = 0.0
+        for phi in self.space.default_test_basis():
+            res = max(res, abs(mu.integrate(self.apply(phi)) - mu.integrate(phi)))
+        return res
+
     def support_mass(self, x, n: int) -> float:
         """1.0 by construction: every backward branch is a preimage, and R1 = 1 was checked."""
         return 1.0
@@ -355,11 +358,12 @@ def adjoint_apply(R: TransferOperator, mu: Measure, psi: Observable) -> Observab
     return R.adjoint_apply(mu, psi)
 
 
-def _closed_class_count(kernel: np.ndarray) -> int:
-    """Number of closed communicating classes of the chain on the support of the kernel.
+def _closed_classes(kernel: np.ndarray) -> list[np.ndarray]:
+    """The closed communicating classes of the chain on the support of the kernel.
 
     Tarjan's strongly connected components on the graph {(x, y): K[x, y] > 0},
     iterative and O(states + edges); a component is closed when no edge leaves it.
+    Each class is an increasing index array; the classes are ordered by their smallest state.
     """
     n = len(kernel)
     rows, cols = np.nonzero(kernel > 0)
@@ -395,29 +399,24 @@ def _closed_class_count(kernel: np.ndarray) -> int:
             if work:
                 u = work[-1][0]
                 low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    comp[w] = ncomp
-                    if w == v:
-                        break
+            if low[v] == index[v]:  # v and the states above it on the stack form one component
+                while comp[v] < 0:
+                    comp[stack.pop()] = ncomp
                 ncomp += 1
     label = np.array(comp)
     leaving = label[rows] != label[cols]
-    return ncomp - len(np.unique(label[rows[leaving]]))
+    closed = np.setdiff1d(np.arange(ncomp), label[rows[leaving]])
+    return sorted((np.flatnonzero(label == c) for c in closed), key=lambda c: c[0])
 
 
 def invariant_measure(R: TransferOperator) -> Measure:
     """A probability measure with mu o R = mu.
 
-    Finite carriers: a ReducibleChainWarning is emitted when the chain has
-    more than one closed class (the fixed point is then not unique, and one
-    is returned).  The measure is a direct linear solve up to 64 states;
-    beyond, power iteration on the lazy chain (I + K)/2, which has the same
-    stationary laws and is aperiodic, so periodic chains converge too.  It
-    stops once a lazy step moves mu by less than 1e-13 in sup norm, that is
-    |mu K - mu| < 2e-13, and raises ConvergenceError if that has not
-    happened after POWER_ITER_MAX steps.
+    Finite carriers: one direct solve on the first closed class in state order, bordered with
+    sum(mu) = 1, at every size and period; other states get weight 0, and a ReducibleChainWarning
+    is emitted when there is more than one closed class (the fixed point is then not unique).
+    The result is certified: its ``stationarity_residual`` is at most CERTIFICATE_C n eps plus
+    the largest row-sum error of the kernel, or ConvergenceError is raised.
     On the circle, Haar is returned exactly when the invariance identity
     holds on the character basis (which forces the uniform weight W = 1/2);
     otherwise no representable invariant measure exists and a ValueError is
@@ -427,11 +426,9 @@ def invariant_measure(R: TransferOperator) -> Measure:
 
 
 def stationarity_residual(R: TransferOperator, mu: Measure) -> float:
-    """Max over a basis of |int R(phi) dmu - int phi dmu|."""
-    res = 0.0
-    for phi in R.space.default_test_basis():
-        res = max(res, abs(mu.integrate(R.apply(phi)) - mu.integrate(phi)))
-    return res
+    """Max over ``default_test_basis`` of |int R(phi) dmu - int phi dmu| (finite: one product)."""
+    _check_same(R.space, mu.space)
+    return R.stationarity_residual(mu)
 
 
 def pullout_check(R: TransferOperator, n_pairs: int = 20, seed: int = 7) -> float:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fractions import Fraction
@@ -58,6 +59,13 @@ def run(tmp_path, task, cfg, extra=()):
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["qmf", "--config", str(tmp_path / "nope.json")]) == 3
+
+    def test_uncertified_invariant_measure_is_exit_two(self, tmp_path, monkeypatch, capsys):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-6))
+        code, report = run(tmp_path, "invariance", {"space": TWO_STATE, "operator": CHAIN_OP})
+        assert code == 2 and report is None
+        assert "certificate" in capsys.readouterr().err
 
     def test_malformed_json_is_config_error(self, tmp_path):
         p = tmp_path / "bad.json"

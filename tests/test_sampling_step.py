@@ -1,4 +1,5 @@
-"""The finite sampling step, the seed-to-path mapping, and invariant measures that certify or raise.
+"""The finite sampling step, the seed-to-path mapping, invariant measures that certify or raise, and
+the start check of the absorbing walks.
 
 The pinned finite digests below were recorded with the O(states) counting step
 ``(u[:, None] > cumsum(K)[x]).sum(axis=1)`` of xferlab 0.1.0, and the circle
@@ -32,9 +33,11 @@ from xferlab import (
     sample_paths,
 )
 from xferlab.cli import main
-from xferlab.pathmeasure import _cdf_table, _next_states, simulate_absorbing
+from xferlab.graphwalk import hitting_verification, path_network
+from xferlab.pathmeasure import _cdf_table, _next_states, harmonic_correspondence, simulate_absorbing
 from xferlab.rng import CHUNK
-from xferlab.transferop import DIRECT_SOLVE_MAX, _closed_class_count
+from xferlab.statespace import Observable
+from xferlab.transferop import CERTIFICATE_C, _closed_classes
 
 
 def formula_kernel(n: int) -> np.ndarray:
@@ -213,15 +216,14 @@ def bipartite_kernel(a: int = 30, b: int = 70, seed: int = 0) -> np.ndarray:
     return k / k.sum(axis=1, keepdims=True)
 
 
-def closed_classes_by_closure(kernel) -> int:
+def closed_classes_by_closure(kernel) -> set[frozenset]:
     """Oracle: transitive closure by repeated squaring; a class is closed when it reaches nothing outside."""
     n = len(kernel)
     reach = (kernel > 0) | np.eye(n, dtype=bool)
     for _ in range(n.bit_length()):
         reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
-    closed = {frozenset(np.nonzero(reach[i] & reach[:, i])[0]) for i in range(n)
-              if np.all(reach[:, i][reach[i]])}
-    return len(closed)
+    return {frozenset(np.nonzero(reach[i] & reach[:, i])[0].tolist()) for i in range(n)
+            if np.all(reach[:, i][reach[i]])}
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,18 +232,76 @@ def closed_classes_by_closure(kernel) -> int:
 def test_closed_class_count_matches_the_closure(support):
     k = np.array(support, dtype=float)
     k[k.sum(axis=1) == 0, 0] = 1.0
-    assert _closed_class_count(k) == closed_classes_by_closure(k)
+    classes = _closed_classes(k)
+    assert {frozenset(c.tolist()) for c in classes} == closed_classes_by_closure(k)
+    assert all(np.all(np.diff(c) > 0) for c in classes)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+
+
+def certificate_bound(kernel) -> float:
+    return CERTIFICATE_C * len(kernel) * np.finfo(float).eps + np.max(np.abs(kernel.sum(axis=1) - 1.0))
+
+
+def residual_by_sweep(R, mu) -> float:
+    """Oracle: the sup over the state indicators, one application of R each."""
+    return max(abs(mu.integrate(R.apply(phi)) - mu.integrate(phi)) for phi in R.space.default_test_basis())
+
+
+def lazy_cycle_kernel(n: int) -> np.ndarray:
+    """A slow-mixing cycle: K[i, i] = K[i, i + 1] = 0.5, except row 0 = (0.3 stay, 0.7 advance)."""
+    idx = np.arange(n)
+    k = np.zeros((n, n))
+    k[idx, idx] = 0.5
+    k[idx, (idx + 1) % n] += 0.5
+    k[0, :2] = 0.3, 0.7
+    return k
+
+
+@st.composite
+def chain_kernels(draw):
+    """Random sparse kernels of 1-40 states: irreducible (a cycle through every state), periodic
+    (edges only from one cyclic group to the next) or reducible (closed blocks, each with its own
+    cycle, and transient states that reach them); in half of them a tenth of the weights are 1e-9."""
+    kind = draw(st.sampled_from(["irreducible", "periodic", "reducible"]))
+    period = draw(st.integers(2, 4)) if kind == "periodic" else 1
+    n = period * draw(st.integers(1, 40 // period))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.random((n, n)) < draw(st.sampled_from([0.05, 0.2, 0.6]))
+    order = rng.permutation(n)
+    if kind == "periodic":
+        group = np.empty(n, dtype=int)
+        group[order] = np.arange(n) % period
+        support &= group[None, :] == (group[:, None] + 1) % period
+    ends = [n]
+    if kind == "reducible":
+        closed = draw(st.integers(1, n))  # states in closed blocks; the rest are transient
+        cuts = np.arange(1, closed)
+        ends = [*sorted(rng.choice(cuts, size=min(cuts.size, draw(st.integers(0, 2))), replace=False)), closed]
+        block = np.full(n, -1)
+        for b, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends)):
+            block[order[lo:hi]] = b
+        inside = block >= 0
+        support[inside] &= block[None, :] == block[inside][:, None]
+        transient = order[closed:]
+        support[transient, rng.choice(order[:closed], size=transient.size)] = True
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        cycle = order[lo:hi]
+        support[cycle, np.roll(cycle, -1)] = True
+    near_zero = rng.random((n, n)) < (0.1 if draw(st.booleans()) else 0.0)
+    weights = np.where(near_zero, 1e-9, rng.uniform(0.05, 1.0, (n, n)))
+    k = np.where(support, weights, 0.0)
+    return k / k.sum(axis=1, keepdims=True)
 
 
 class TestInvariantMeasure:
-    @pytest.mark.parametrize("n", [5, DIRECT_SOLVE_MAX + 1, 101])
+    @pytest.mark.parametrize("n", [5, 65, 101])
     def test_reducible_chain_warns_at_every_size(self, n):
         R = matrix_operator(FiniteSpace(tuple(range(n))), reducible_kernel(n))
         with pytest.warns(ReducibleChainWarning):
             mu = invariant_measure(R)
         assert np.max(np.abs(mu.weights @ R.kernel - mu.weights)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [5, DIRECT_SOLVE_MAX + 1])
+    @pytest.mark.parametrize("n", [5, 65])
     def test_one_closed_class_with_transient_states_does_not_warn(self, n):
         k = reducible_kernel(n)
         k[(n - 1) // 2 - 1] = 0.0  # the first class now drains into the second
@@ -263,10 +323,87 @@ class TestInvariantMeasure:
         assert time.perf_counter() - t0 < 0.1
         assert np.max(np.abs(mu.weights @ K - mu.weights)) <= 1e-12
 
-    def test_power_iteration_raises_at_the_cap(self, monkeypatch):
-        import xferlab.transferop as T
-
-        monkeypatch.setattr(T, "POWER_ITER_MAX", 3)
+    def test_certificate_failure_raises(self, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-6))
         R = matrix_operator(FiniteSpace(tuple(range(100))), bipartite_kernel())
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="certificate"):
             invariant_measure(R)
+
+    def test_singular_bordered_system_raises(self):
+        # irreducible on its support, but 1 - 1e-18 rounds to 1: rows 0 and 1 of the system coincide
+        k = np.array([[1.0, 0.0, 1e-18], [0.0, 1.0, 1e-18], [0.5, 0.5, 0.0]])
+        R = matrix_operator(FiniteSpace(("a", "b", "c")), k)
+        with pytest.raises(ConvergenceError, match="singular"):
+            invariant_measure(R)
+
+    def test_slow_lazy_cycle_matches_the_closed_form(self):
+        n = 400
+        R = matrix_operator(FiniteSpace(tuple(range(n))), lazy_cycle_kernel(n))
+        t0 = time.perf_counter()
+        mu = invariant_measure(R)
+        assert time.perf_counter() - t0 < 1.0
+        exact = np.full(n, 1.4 / (1 + 1.4 * (n - 1)))
+        exact[0] = 1 / (1 + 1.4 * (n - 1))
+        assert np.max(np.abs(mu.weights - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_rows_off_by_the_unitality_tolerance_are_certified(self, n):
+        k = np.random.default_rng(n).uniform(0.0, 1.0, (n, n))
+        k = k / k.sum(axis=1, keepdims=True) * (1 + 9e-13)
+        R = matrix_operator(FiniteSpace(tuple(range(n))), k)
+        mu = invariant_measure(R)
+        assert R.stationarity_residual(mu) <= certificate_bound(k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(chain_kernels())
+    def test_solve_warns_certifies_and_matches_the_oracles(self, k):
+        n = len(k)
+        classes = sorted(closed_classes_by_closure(k), key=min)
+        R = matrix_operator(FiniteSpace(tuple(range(n))), k)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mu = invariant_measure(R)
+        assert any(issubclass(w.category, ReducibleChainWarning) for w in caught) == (len(classes) > 1)
+        w = mu.weights
+        assert np.max(np.abs(w @ k - w)) <= certificate_bound(k)
+        off = np.ones(n, dtype=bool)
+        off[list(classes[0])] = False
+        assert np.all(w[off] == 0.0)
+        if len(classes[0]) == n and k[k > 0].min() > 1e-3:  # 1e-9 weights make the law ill-conditioned
+            vals, vecs = np.linalg.eig(k.T)
+            v = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+            assert np.max(np.abs(w - v / v.sum())) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_kernels(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stationarity_residual_matches_the_indicator_sweep(k, stationary, seed):
+    n = len(k)
+    R = matrix_operator(FiniteSpace(tuple(range(n))), k)
+    if stationary:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ReducibleChainWarning)
+            mu = invariant_measure(R)
+    else:
+        w = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+        mu = Measure.from_weights(R.space, w / w.sum())
+    assert abs(R.stationarity_residual(mu) - residual_by_sweep(R, mu)) <= n * np.finfo(float).eps
+
+
+def ruin_operator(n: int = 3):
+    space = FiniteSpace(tuple(range(n)))
+    return matrix_operator(space, ruin_kernel(n, 0.5)), Observable.from_values(space, np.linspace(0.0, 1.0, n))
+
+
+@pytest.mark.parametrize("start", [-2, 3])
+@pytest.mark.parametrize("entry", ["simulate_absorbing", "hitting_verification", "harmonic_correspondence"])
+def test_absorbing_walks_refuse_a_start_outside_the_states(entry, start):
+    R, h = ruin_operator()
+    calls = {
+        "simulate_absorbing": lambda: simulate_absorbing(R.kernel, np.array([True, False, True]), start, 5, 1),
+        "hitting_verification": lambda: hitting_verification(path_network([1.0, 1.0]), {0: 0.0, 2: 1.0}, start, 5, 1),
+        "harmonic_correspondence": lambda: harmonic_correspondence(R, None, h, mc_start=start, mc_count=5),
+    }
+    with pytest.raises(ValueError, match="start"):
+        calls[entry]()
