@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NormalizationError
-from .pathmeasure import STEP_CAP, simulate_absorbing
+from .pathmeasure import STEP_CAP, mean_stderr, simulate_absorbing
 from .statespace import FiniteSpace, Observable
 from .transferop import MatrixOperator
 
@@ -153,11 +153,11 @@ def hitting_verification(
     absorbing = np.zeros(net.space.n, dtype=bool)
     absorbing[list(net.boundary)] = True
     finals, capped = simulate_absorbing(kernel, absorbing, start, count, seed, step_cap)
-    vals = np.real(np.asarray(h.values))[finals]
+    estimate, stderr = mean_stderr(np.real(np.asarray(h.values))[finals])
     return HittingReport(
         exact=float(np.real(h.values[start])),
-        estimate=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0,
+        estimate=estimate,
+        stderr=stderr,
         capped=capped,
         count=count,
     )

@@ -170,11 +170,7 @@ class PathEnsemble:
                 vals *= phi(self.samples[:, j])
         else:
             vals = np.array([f(p) for p in self.samples], dtype=complex)
-        if np.max(np.abs(vals.imag)) < 1e-12:
-            vals = vals.real
-        mean = float(np.mean(vals.real))
-        stderr = float(np.std(vals.real, ddof=1) / np.sqrt(self.count)) if self.count > 1 else 0.0
-        return mean, stderr
+        return mean_stderr(vals.real)
 
     def merge(self, other: "PathEnsemble") -> "PathEnsemble":
         if (self.fingerprint, self.depth) != (other.fingerprint, other.depth):
@@ -188,6 +184,12 @@ class PathEnsemble:
             writer.writerow([f"x{i+1}" for i in range(self.depth)])
             for row in self.samples:
                 writer.writerow([self.space.label(x) for x in row])
+
+
+def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of real samples; the error of one sample is 0.0."""
+    n = vals.size
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
 
 def sample_paths(
@@ -444,9 +446,7 @@ def harmonic_correspondence(
         boundary_residual = float(np.max(np.abs(exact - np.real(h.values))))
         if mc_count and mc_start is not None:
             finals, capped = simulate_absorbing(k, mask, mc_start, mc_count, seed)
-            vals = np.real(np.asarray(h.values))[finals]
-            mc_estimate = float(vals.mean())
-            mc_stderr = float(vals.std(ddof=1) / np.sqrt(mc_count))
+            mc_estimate, mc_stderr = mean_stderr(np.real(np.asarray(h.values))[finals])
     return HarmonicReport(
         harmonic_residual=float(resid),
         martingale_residuals=[float(r) for r in mart],

@@ -30,12 +30,15 @@ from .statespace import (
     Measure,
     Observable,
     angle_point,
+    coeffs_at,
     compose_with_endo,
     convolve,
     dense_coeffs,
     doubled,
+    even_gather,
     horner,
     inner_product,
+    sparse_coeffs,
     _check_same,
     _require,
 )
@@ -97,7 +100,10 @@ class MatrixOperator(TransferOperator):
         return Observable.from_values(self.space, vals)
 
     def invariant_measure(self) -> Measure:
-        """See ``invariant_measure``: one bordered solve on the first closed class, certified."""
+        """See ``invariant_measure``: one bordered solve on the first closed class, certified.
+
+        The certificate bounds the backward error |mu K - mu|, not the distance to the stationary law.
+        """
         k = self.kernel
         c, *others = _closed_classes(k)
         if others:
@@ -178,15 +184,11 @@ class CircleRuelleOperator(TransferOperator):
         _require(self.space, CircleSpace, "a Ruelle operator with a trig-polynomial weight")
         w = {int(n): complex(c) for n, c in self.weight.items() if c != 0}
         object.__setattr__(self, "weight", w)
-        # unitality: (R 1)_k = 2 W_{2k} must be the delta at 0
-        for n, c in w.items():
-            if n % 2 == 0:
-                target = 0.5 if n == 0 else 0.0
-                if abs(c - target) > UNITALITY_TOL:
-                    raise NormalizationError(
-                        f"weight violates R1=1: coefficient W_{n} = {c}"
-                    )
         dense, offset = dense_coeffs(w)
+        # unitality: (R 1)_k = 2 W_{2k} must be the delta at 0, W_0 = 1/2 included
+        for k, c in {0: 0j, **sparse_coeffs(*even_gather(dense, offset))}.items():
+            if abs(c - (0.5 if k == 0 else 0.0)) > UNITALITY_TOL:
+                raise NormalizationError(f"weight violates R1=1: coefficient W_{2 * k} = {c}")
         object.__setattr__(self, "_w", dense)
         object.__setattr__(self, "_w_offset", offset)
         grid = max(8 * self.space.degree, 16)
@@ -197,10 +199,8 @@ class CircleRuelleOperator(TransferOperator):
     def apply(self, phi: Observable) -> Observable:
         """(R phi)_k = 2 (W * phi)_{2k}: one convolution, then every other entry."""
         _check_same(self.space, phi.space)
-        g = convolve(self._w, phi.coeffs)
-        offset = self._w_offset + phi.offset
-        start = offset % 2  # position of the first even index
-        return Observable.from_coeffs(self.space, 2 * g[start::2], (offset + start) // 2)
+        g, k0 = even_gather(convolve(self._w, phi.coeffs), self._w_offset + phi.offset)
+        return Observable.from_coeffs(self.space, 2 * g, k0)
 
     def weight_at(self, t) -> float:
         z = angle_point(t)
@@ -239,11 +239,15 @@ class CircleRuelleOperator(TransferOperator):
         return Measure.haar_measure(self.space)
 
     def stationarity_residual(self, mu: Measure) -> float:
-        """Max over the characters of ``default_test_basis`` of |int R(phi) dmu - int phi dmu|."""
-        res = 0.0
-        for phi in self.space.default_test_basis():
-            res = max(res, abs(mu.integrate(self.apply(phi)) - mu.integrate(phi)))
-        return res
+        """max over |n| <= degree of |int R(e_n) dHaar - int e_n dHaar| = |2 W_{-n} - delta_{n,0}|.
+
+        The Haar integral of R(e_n) is its 0th coefficient, one product 2 W_{-n}; so this
+        is the sweep over the characters of ``default_test_basis``, without building them.
+        """
+        d = self.space.degree
+        gap = 2 * coeffs_at(self._w, self._w_offset, np.arange(d, -d - 1, -1))
+        gap[d] -= 1.0
+        return float(np.max(np.abs(gap)))
 
     def support_mass(self, x, n: int) -> float:
         """1.0 by construction: every backward branch is a preimage, and R1 = 1 was checked."""
@@ -416,7 +420,9 @@ def invariant_measure(R: TransferOperator) -> Measure:
     sum(mu) = 1, at every size and period; other states get weight 0, and a ReducibleChainWarning
     is emitted when there is more than one closed class (the fixed point is then not unique).
     The result is certified: its ``stationarity_residual`` is at most CERTIFICATE_C n eps plus
-    the largest row-sum error of the kernel, or ConvergenceError is raised.
+    the largest row-sum error of the kernel, or ConvergenceError is raised.  The certificate
+    bounds the backward error |mu K - mu|, not the distance to the stationary law: for
+    K = [[1, 1e-18], [1e-18, 1]] it certifies (1, 0) with residual 1e-18, although the law is (1/2, 1/2).
     On the circle, Haar is returned exactly when the invariance identity
     holds on the character basis (which forces the uniform weight W = 1/2);
     otherwise no representable invariant measure exists and a ValueError is
@@ -426,7 +432,7 @@ def invariant_measure(R: TransferOperator) -> Measure:
 
 
 def stationarity_residual(R: TransferOperator, mu: Measure) -> float:
-    """Max over ``default_test_basis`` of |int R(phi) dmu - int phi dmu| (finite: one product)."""
+    """Max over ``default_test_basis`` of |int R(phi) dmu - int phi dmu|, in closed form on both carriers."""
     _check_same(R.space, mu.space)
     return R.stationarity_residual(mu)
 

@@ -20,8 +20,21 @@ import numpy as np
 from .errors import NormalizationError, XferlabError
 from .pathmeasure import CylinderFunctional, conditional_expectation, sigma_expectation
 from .solenoid import word_compose_rhat
-from .statespace import CircleSpace, Measure, Observable, compose_with_endo, integrate
-from .transferop import CircleRuelleOperator, ruelle_from_filter
+from .statespace import (
+    CircleSpace,
+    Measure,
+    Observable,
+    coeffs_at,
+    compose_with_endo,
+    convolve,
+    dense_coeffs,
+    doubled,
+    even_gather,
+    horner,
+    integrate,
+    sparse_coeffs,
+)
+from .transferop import ruelle_from_filter
 
 SQRT2 = math.sqrt(2.0)
 
@@ -65,15 +78,9 @@ class QMFFilter:
     def m0_observable(self, space: CircleSpace) -> Observable:
         return Observable.from_fourier(space, self.m0_coeffs())
 
-    def autocorrelation(self, lag: int) -> complex:
-        """sum_k h_k conj(h_{k - lag})."""
-        c = self.coeffs
-        out = 0.0 + 0.0j
-        for i in range(c.size):
-            j = i - lag
-            if 0 <= j < c.size:
-                out += c[i] * np.conj(c[j])
-        return complex(out)
+    def autocorrelation(self) -> np.ndarray:
+        """a_lag = sum_k h_k conj(h_{k - lag}) at entry lag + length - 1, for |lag| < length."""
+        return convolve(self.coeffs, self.coeffs[::-1].conj())
 
 
 def haar_filter() -> QMFFilter:
@@ -110,19 +117,12 @@ def qmf_check(h: QMFFilter, grid: int = 1024) -> QMFReport:
     Coefficient form: sum_k h_k conj(h_{k-2n}) = delta_{n,0}.  Grid form:
     (1/2) sum_{w^2=z} |m0(w)|^2 = 1 at grid points z.
     """
-    max_lag = h.length // 2 + 1
-    coeff_res = abs(h.autocorrelation(0) - 1.0)
-    for n in range(1, max_lag + 1):
-        coeff_res = max(coeff_res, abs(h.autocorrelation(2 * n)), abs(h.autocorrelation(-2 * n)))
+    acf, lag0 = even_gather(h.autocorrelation(), 1 - h.length)  # the even lags 2n, from n = lag0
+    acf[-lag0] -= 1.0
+    coeff_res = np.max(np.abs(acf))
 
-    theta = np.arange(grid) / grid
-    idx = np.arange(h.length) + h.offset
-
-    def m0_abs2(t):
-        vals = h.coeffs[None, :] * np.exp(2j * np.pi * np.outer(t, idx))
-        return np.abs(vals.sum(axis=1)) ** 2
-
-    fiber = 0.5 * (m0_abs2(theta / 2) + m0_abs2(theta / 2 + 0.5))
+    w = np.exp(1j * np.pi * np.arange(grid) / grid)  # a square root of each grid point; -w is the other
+    fiber = 0.5 * (np.abs(horner(h.coeffs, h.offset, w)) ** 2 + np.abs(horner(h.coeffs, h.offset, -w)) ** 2)
     grid_res = float(np.max(np.abs(fiber - 1.0)))
     return QMFReport(
         coeff_residual=float(coeff_res),
@@ -156,12 +156,10 @@ class ScalingFunction:
         total = self.values.sum() * self.step
         return float(total.real) if abs(total.imag) < 1e-12 else complex(total)
 
-    def value_at(self, x: float) -> complex:
-        """Value at a dyadic point (snapped to the nearest grid index); 0 off support."""
-        i = round((x - self.offset) / self.step)
-        if 0 <= i < self.values.size:
-            return self.values[i]
-        return 0.0
+    def value_at(self, x):
+        """Value at dyadic points (snapped to the nearest grid index), elementwise; 0 off support."""
+        i = np.rint((np.asarray(x) - self.offset) / self.step).astype(int)
+        return coeffs_at(self.values, 0, i)[()]
 
     def normalized(self) -> "ScalingFunction":
         """Rescale to unit integral.
@@ -251,31 +249,19 @@ def translate_orthogonality(sf: ScalingFunction) -> dict[int, complex]:
     return out
 
 
-def _lawton_pairs(h: QMFFilter):
-    idx = np.arange(h.length)
-    return [
-        (int(m - n), h.coeffs[n] * np.conj(h.coeffs[m]))
-        for n in idx
-        for m in idx
-        if h.coeffs[n] != 0 and h.coeffs[m] != 0
-    ]
-
-
 def lawton_apply(h: QMFFilter, a: Mapping[int, complex]) -> dict[int, complex]:
     """One step of the autocorrelation transfer map (T a)(k) = sum h_n conj(h_m) a(2k + m - n).
 
-    The translate-correlation sequence of the scaling function is a fixed
-    point of T supported on |k| <= len(h) - 2.
+    Grouped by lag this is sum_j A_{2k - j} a(j) with A the filter autocorrelation: the
+    even-index gather of the convolution A * a, read on |k| <= len(h) - 1.  The
+    translate-correlation sequence of the scaling function is a fixed point of T
+    supported on |k| <= len(h) - 2.
     """
     span = h.length - 1
-    pairs = _lawton_pairs(h)
-    out = {}
-    for k in range(-span, span + 1):
-        s = 0.0j
-        for d, c in pairs:
-            s += c * a.get(2 * k + d, 0.0j)
-        out[k] = s
-    return out
+    dense, offset = dense_coeffs(a)
+    g, k0 = even_gather(convolve(h.autocorrelation(), dense), offset - span)
+    lags = range(-span, span + 1)
+    return dict(zip(lags, coeffs_at(g, k0, np.array(lags)).tolist()))
 
 
 def orthogonality_from_filter(
@@ -301,17 +287,14 @@ def lawton_multiplicity(h: QMFFilter, tol: float = 1e-8) -> int:
     Translates of the scaling function are orthonormal exactly when this is
     1 (the delta sequence is then the only fixed point).
     """
-    span = h.length - 1
-    lags = list(range(-span, span + 1))
-    pos = {k: i for i, k in enumerate(lags)}
-    t = np.zeros((len(lags), len(lags)), dtype=complex)
-    for d, c in _lawton_pairs(h):
-        for k in lags:
-            j = 2 * k + d
-            if j in pos:
-                t[pos[k], pos[j]] += c
-    ev = np.linalg.eigvals(t)
+    ev = np.linalg.eigvals(_lawton_matrix(h))
     return int(np.sum(np.abs(ev - 1.0) < tol))
+
+
+def _lawton_matrix(h: QMFFilter) -> np.ndarray:
+    """The matrix of ``lawton_apply`` on the lags |k| <= len(h) - 1: t[k, j] = A_{2k - j}."""
+    lags = np.arange(1 - h.length, h.length)
+    return coeffs_at(h.autocorrelation(), 1 - h.length, 2 * lags[:, None] - lags[None, :])
 
 
 def orthogonality_defect(a: Mapping[int, complex]) -> float:
@@ -328,25 +311,17 @@ def orthogonality_defect(a: Mapping[int, complex]) -> float:
 
 
 def scaled_coeffs(h: QMFFilter, xi: Mapping[int, complex]) -> dict[int, complex]:
-    """Coefficients of S0 xi, where (S0 xi)(z) = m0(z) xi(z^2)."""
-    out: dict[int, complex] = {}
-    for l, c in enumerate(h.coeffs):
-        if c == 0:
-            continue
-        a = h.offset + l
-        for n, x in xi.items():
-            out[a + 2 * n] = out.get(a + 2 * n, 0) + c * x
-    return {k: v for k, v in out.items() if v != 0}
+    """Coefficients of S0 xi, where (S0 xi)(z) = m0(z) xi(z^2): one convolution with xi o r."""
+    dense, offset = dense_coeffs(xi)
+    return sparse_coeffs(convolve(h.coeffs, doubled(dense)), h.offset + 2 * offset)
 
 
 def eval_translates(sf: ScalingFunction, xi: Mapping[int, complex], xs: np.ndarray) -> np.ndarray:
     """(W xi)(x) = sum_n xi_n phi(x - n) at the given points."""
     out = np.zeros(xs.size, dtype=complex)
     for n, c in xi.items():
-        if c == 0:
-            continue
-        for i, x in enumerate(xs):
-            out[i] += c * sf.value_at(x - n)
+        if c != 0:
+            out += c * sf.value_at(xs - n)
     return out
 
 
@@ -392,19 +367,6 @@ def apply_wavelet_U(m: Observable, f: CylinderFunctional) -> CylinderFunctional:
     """U f = (m o pi_1)(f o rhat) on cylinder words."""
     lifted = word_compose_rhat(f)
     return CylinderFunctional((m * lifted.word[0],) + lifted.word[1:])
-
-
-def _forward_dilates(m: Observable, g: Observable, p: int) -> Observable:
-    """U^p (g o pi_1) = (m (m o r) ... (m o r^{p-1}) (g o r^p)) o pi_1."""
-    out = Observable.constant(m.space, 1.0)
-    cur = m
-    for _ in range(p):
-        out = out * cur
-        cur = compose_with_endo(cur)
-    comp = g
-    for _ in range(p):
-        comp = compose_with_endo(comp)
-    return out * comp
 
 
 def representation_check(
@@ -454,7 +416,7 @@ def representation_check(
             abs(sigma_expectation(mu, R, CylinderFunctional((f,))) - integrate(mu, f)),
         )
 
-    dims = _span_dimensions(m, chars, levels, mu)
+    dims = _span_dimensions(m, max_char, levels)
     return RepresentationReport(float(cov), float(scaling), float(orth), dims)
 
 
@@ -468,27 +430,35 @@ def _word_basis(chars, depth):
     return out
 
 
-def _span_dimensions(m, chars, levels, mu) -> list[int]:
-    """Ranks of the Gram matrices of {U^{-j} pi(e_k) 1 : j <= n}.
+def _span_gram(m, max_char, levels) -> np.ndarray:
+    """The Gram matrix of {U^{-j} pi(e_k) 1 : j <= levels, |k| <= max_char}, level by level.
 
-    Inner products reduce by unitarity to <pi(f) 1, U^p pi(g) 1>, and the
-    forward power U^p pi(g) 1 is an explicit trig polynomial in the first
-    coordinate.
+    Inner products reduce by unitarity to <pi(e_f) 1, U^p pi(e_g) 1> with p = j - l,
+    and U^p pi(e_g) 1 = (P_p e_{g 2^p}) o pi_1 with the prefix product
+    P_p = m (m o r) ... (m o r^{p-1}); so the entry is the coefficient of P_p at f - g 2^p.
     """
-    from .statespace import inner_product
+    prefix, dilate = [Observable.constant(m.space, 1.0)], m
+    for _ in range(levels):
+        prefix.append(prefix[-1] * dilate)
+        dilate = compose_with_endo(dilate)
+    k = np.arange(-max_char, max_char + 1)
+    n = k.size
+    gram = np.zeros(((levels + 1) * n,) * 2, dtype=complex)
+    for j in range(levels + 1):
+        for l in range(j + 1):
+            p = prefix[j - l]
+            block = coeffs_at(p.coeffs, p.offset, k[:, None] - k[None, :] * 2 ** (j - l))
+            gram[j * n : (j + 1) * n, l * n : (l + 1) * n] = block
+            if l < j:  # the entries with j < l, by Hermitian symmetry
+                gram[l * n : (l + 1) * n, j * n : (j + 1) * n] = block.conj().T
+    return gram
 
-    family = [(j, c) for j in range(levels + 1) for c in chars]
-    gram = np.zeros((len(family), len(family)), dtype=complex)
-    for a, (j, f) in enumerate(family):
-        for b, (l, g) in enumerate(family):
-            if j >= l:
-                gram[a, b] = inner_product(mu, _forward_dilates(m, g, j - l), f)
-    # the entries with j < l, by Hermitian symmetry
-    level = np.array([j for j, _ in family])
-    upper = level[:, None] < level[None, :]
-    gram[upper] = gram.T.conj()[upper]
+
+def _span_dimensions(m, max_char, levels) -> list[int]:
+    """Ranks of the leading level-by-level blocks of ``_span_gram``."""
+    gram = _span_gram(m, max_char, levels)
+    per_level = 2 * max_char + 1
     dims = []
-    per_level = len(chars)
     for lvl in range(levels + 1):
         k = (lvl + 1) * per_level
         sub = gram[:k, :k]

@@ -106,6 +106,16 @@ class TestCircleRuelleOperator:
         with pytest.raises(NormalizationError):
             ruelle_from_filter(circle, {0: 1.0, 1: 1.0})  # sums to 2, not sqrt(2)
 
+    def test_zero_weight_rejected(self, circle):
+        from xferlab.transferop import CircleRuelleOperator
+
+        # no even coefficient is nonzero, but W_0 = 0 gives R1 = 0
+        for weight in ({}, {0: 0.0, 2: 0.0}):
+            with pytest.raises(NormalizationError, match="W_0"):
+                CircleRuelleOperator(circle, weight)
+        with pytest.raises(NormalizationError, match="W_0"):
+            ruelle_from_filter(circle, {0: 0.0})
+
     def test_negative_weight_rejected(self, circle):
         from xferlab.transferop import CircleRuelleOperator
 
