@@ -200,10 +200,10 @@ def sample_paths(
     Deterministic for a fixed seed; chunked so parallel sampling can
     reproduce the serial stream (see rng module).  The root is a point of
     the carrier (checked by ``space.point``) or, on finite carriers, a
-    Measure; the operator's ``walk`` does the sampling.
+    Measure; the operator's ``walk`` does the sampling.  Depth and count must be >= 1.
     """
-    if n < 1:
-        raise ValueError("depth must be >= 1")
+    if n < 1 or count < 1:
+        raise ValueError(f"depth and count must be >= 1, got depth {n} and count {count}")
     return R.walk(root, n, count, seed)
 
 
@@ -244,11 +244,11 @@ def simulate_absorbing(
 ) -> tuple[np.ndarray, int]:
     """Run walks from `start` until they hit an absorbing state or the step cap.
 
-    Returns (final state per walk, number of walks that hit the cap); capped
-    walks are reported, never silently dropped.  A start outside [0, n) raises ValueError.
+    Returns (final state per walk, number of walks that hit the cap); capped walks are reported,
+    never silently dropped.  A start outside [0, n) or a count below 1 raises ValueError.
     """
-    if not 0 <= start < len(kernel):
-        raise ValueError(f"start must be a state index in [0, {len(kernel)}), got {start}")
+    if not 0 <= start < len(kernel) or count < 1:
+        raise ValueError(f"need a start index in [0, {len(kernel)}) and a count >= 1, got start {start}, count {count}")
     table = _cdf_table(kernel)
     finals = np.empty(count, dtype=np.intp)
     capped = 0

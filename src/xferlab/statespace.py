@@ -189,23 +189,19 @@ class CircleSpace:
     def incompatible_transitions(words) -> int:
         """Transitions x_k -> x_{k+1} with 2 x_{k+1} != x_k (mod 1) in equal-length angle words.
 
-        With x_{k+1} = a/b and x_k = c/d in [0, 1), 2a/b = c/d (mod 1) iff
-        (2ad - cb) mod bd = 0.  Every product is below 2bd, so int64 holds it
-        while each denominator is below 2^31; beyond, the test runs on Python ints.
+        Over D, the lcm of all denominators, angles in [0, 1) are numerators N in
+        [0, D), and 2 x_{k+1} = x_k (mod 1) iff (2 N_{k+1} - N_k) mod D = 0.  Every
+        term is below 2D, so int64 holds it while 2D < 2^63; beyond, Python ints do.
         """
         x = np.asarray(words, dtype=object)
         if not x.size:
             return 0
-        try:
-            den = np.fromiter((t.denominator for t in x.flat), np.int64, x.size)
-        except OverflowError:  # a denominator of 2^63 or more
-            den = np.fromiter((t.denominator for t in x.flat), object, x.size)
-        if den.max() >= 2**31:
-            den = den.astype(object)
-        num = np.fromiter((t.numerator for t in x.flat), den.dtype, x.size)
-        num, den = num.reshape(x.shape), den.reshape(x.shape)
-        a, b, c, d = num[:, 1:], den[:, 1:], num[:, :-1], den[:, :-1]
-        return int(np.count_nonzero((2 * a * d - c * b) % (b * d)))
+        flat = x.ravel().tolist()
+        den = [t.denominator for t in flat]
+        D = math.lcm(*set(den))
+        dtype = np.int64 if 2 * D < 2**63 else object
+        num = (np.array([t.numerator for t in flat], dtype) * (D // np.array(den, dtype))).reshape(x.shape)
+        return int(np.count_nonzero((2 * num[:, 1:] - num[:, :-1]) % D))
 
 
 Space = Union[FiniteSpace, CircleSpace]

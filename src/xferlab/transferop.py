@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, NormalizationError, ReducibleChainWarning
-from .rng import chunk_sizes, chunk_stream
+from .rng import CHUNK, chunk_sizes, chunk_stream
 from .statespace import (
     CircleSpace,
     FiniteSpace,
@@ -260,7 +260,9 @@ class CircleRuelleOperator(TransferOperator):
     def walk(self, root, n: int, count: int, seed: int):
         """The walker of ``sample_paths``: from angle t to a square root of it, weighted by W.
 
-        Paths are exact angles, stored row by row in an object array of Fractions.
+        Exact Fraction angles, one step per coordinate over the distinct angles: path i is at
+        ``angles[k[i]]``, takes child 2k (u0) iff its draw is below p0 and else 2k + 1; the
+        children of distinct angles are distinct, so ``np.unique`` compacts them exactly.
         """
         from .pathmeasure import PathEnsemble
 
@@ -268,20 +270,17 @@ class CircleRuelleOperator(TransferOperator):
             raise ValueError("mu-rooted sampling is not supported on the circle carrier")
         t0 = self.space.point(root)
         branches = functools.cache(self.transition_weights)  # a walk revisits few angles
-        out = np.empty((count, n), dtype=object)
-        row = 0
+        out = np.full((count, n), t0, dtype=object)
         for ci, size in enumerate(chunk_sizes(count)):
-            rng = chunk_stream(seed, ci)
-            u = rng.random((size, max(n - 1, 1)))
-            for i in range(size):
-                path = [t0]
-                t = t0
-                for step in range(n - 1):
-                    (u0, p0), (u1, _p1) = branches(t)
-                    t = u0 if u[i, step] < p0 else u1
-                    path.append(t)
-                out[row] = np.fromiter(path, object, n)  # skips numpy's per-entry type discovery
-                row += 1
+            rows = out[ci * CHUNK : ci * CHUNK + size]
+            u = chunk_stream(seed, ci).random((size, max(n - 1, 1)))
+            angles, k = [t0], np.zeros(size, dtype=np.intp)
+            for step in range(n - 1):
+                split = [branches(t) for t in angles]
+                p0 = np.array([p for (_u0, p), _b1 in split])
+                child, k = np.unique(2 * k + (u[:, step] >= p0[k]), return_inverse=True)
+                angles = [split[c >> 1][c & 1][0] for c in child.tolist()]
+                rows[:, step + 1] = np.fromiter(angles, object, len(angles))[k]
         return PathEnsemble(self.space, t0, n, out, seed, self.fingerprint())
 
 

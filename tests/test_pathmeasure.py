@@ -378,3 +378,35 @@ class TestHarmonicCorrespondence:
         bad = Observable.from_values(sp, [0.0, 0.7, 1.0])
         with pytest.raises(NotHarmonicError):
             harmonic_correspondence(R, None, bad)
+
+
+@st.composite
+def real_words(draw):
+    """Real cylinder words (c_{-n} = conj c_n) of depth 1-4 and degree <= 3."""
+    coeff = st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False)
+    word = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = {0: complex(draw(st.floats(-2, 2)))}
+        for n in range(1, draw(st.integers(0, 3)) + 1):
+            c[n] = draw(coeff)
+            c[-n] = c[n].conjugate()
+        word.append(c)
+    return word
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d4=st.booleans(),
+    root=st.fractions(0, 1).filter(lambda t: t.denominator <= 50 and t < 1),
+    word=real_words(),
+    seed=st.integers(0, 2**31),
+)
+def test_circle_walk_mean_matches_the_cylinder_expectation(d4, root, word, seed):
+    space = CircleSpace(degree=32)
+    R = ruelle_from_filter(space, (daubechies4() if d4 else haar_filter()).m0_coeffs())
+    f = CylinderFunctional(tuple(Observable.from_fourier(space, c) for c in word))
+    n = 4096
+    mean, _ = sample_paths(R, root, len(word), n, seed).functional_mean(f)
+    exact = cylinder_expectation(R, root, f).real
+    var = max(cylinder_expectation(R, root, f * f).real - exact**2, 0.0)
+    assert abs(mean - exact) <= 6 * math.sqrt(var / n) + 1e-12 * (1 + abs(exact))

@@ -1,5 +1,5 @@
-"""The finite sampling step, the seed-to-path mapping, invariant measures that certify or raise, and
-the start check of the absorbing walks.
+"""The finite sampling step, the circle walk against its per-path loop, the seed-to-path mapping,
+invariant measures that certify or raise, and the start and count checks of the walks.
 
 The pinned finite digests below were recorded with the O(states) counting step
 ``(u[:, None] > cumsum(K)[x]).sum(axis=1)`` of xferlab 0.1.0, and the circle
@@ -8,6 +8,7 @@ before the dense layout; any change to the mapping from seed to paths, or to
 the operator fingerprints, shows up here first.
 """
 
+import functools
 import hashlib
 import json
 import time
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xferlab import (
@@ -35,9 +36,11 @@ from xferlab import (
 from xferlab.cli import main
 from xferlab.graphwalk import hitting_verification, path_network
 from xferlab.pathmeasure import _cdf_table, _next_states, harmonic_correspondence, simulate_absorbing
-from xferlab.rng import CHUNK
+from xferlab.rng import CHUNK, chunk_sizes, chunk_stream
 from xferlab.statespace import Observable
 from xferlab.transferop import CERTIFICATE_C, _closed_classes
+
+from test_closed_forms import lattice_filter
 
 
 def formula_kernel(n: int) -> np.ndarray:
@@ -407,3 +410,64 @@ def test_absorbing_walks_refuse_a_start_outside_the_states(entry, start):
     }
     with pytest.raises(ValueError, match="start"):
         calls[entry]()
+
+
+@pytest.mark.parametrize("entry", ["finite", "circle", "simulate_absorbing", "hitting_verification"])
+def test_walks_refuse_a_count_below_one(entry):
+    R, _ = ruin_operator()
+    C = ruelle_from_filter(CircleSpace(), daubechies4().m0_coeffs())
+    calls = {
+        "finite": lambda: sample_paths(R, 1, 3, 0, 1),
+        "circle": lambda: sample_paths(C, Fraction(1, 3), 3, 0, 1),
+        "simulate_absorbing": lambda: simulate_absorbing(R.kernel, np.array([True, False, True]), 1, 0, 1),
+        "hitting_verification": lambda: hitting_verification(path_network([1.0, 1.0]), {0: 0.0, 2: 1.0}, 1, 0, 1),
+    }
+    with pytest.raises(ValueError, match="count"):
+        calls[entry]()
+
+
+def test_harmonic_correspondence_skips_monte_carlo_at_count_zero():
+    R, h = ruin_operator()
+    rep = harmonic_correspondence(R, None, h, mc_start=1, mc_count=0)
+    assert (rep.mc_estimate, rep.mc_stderr, rep.mc_capped) == (None, None, 0)
+    assert rep.boundary_residual is not None
+
+
+def walk_by_paths(R, root, n, count, seed) -> list[list[Fraction]]:
+    """Oracle: the per-path circle walk that the vectorised one replaced, one step at a time on Fractions."""
+    t0 = CircleSpace.point(root)
+    branches = functools.cache(R.transition_weights)
+    out = []
+    for ci, size in enumerate(chunk_sizes(count)):
+        u = chunk_stream(seed, ci).random((size, max(n - 1, 1)))
+        for i in range(size):
+            path, t = [t0], t0
+            for step in range(n - 1):
+                (u0, p0), (u1, _p1) = branches(t)
+                t = u0 if u[i, step] < p0 else u1
+                path.append(t)
+            out.append(path)
+    return out
+
+
+WALK_FILTERS = {"haar": haar_filter().m0_coeffs(), "d4": daubechies4().m0_coeffs(),
+                "lattice": lattice_filter([0.4, -1.3, 2.2]).m0_coeffs()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    m0=st.one_of(st.sampled_from(sorted(WALK_FILTERS)).map(WALK_FILTERS.get),
+                 st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3).map(lambda a: lattice_filter(a).m0_coeffs())),
+    root=st.sampled_from([1, 3, 7, 2**31 - 1, 2**64 + 13]).flatmap(
+        lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q))),
+    depth=st.integers(1, 14),
+    count=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m0=WALK_FILTERS["d4"], root=Fraction(2, 7), depth=9, count=CHUNK + 37, seed=3)
+def test_circle_walk_equals_the_per_path_loop(m0, root, depth, count, seed):
+    R = ruelle_from_filter(CircleSpace(), m0)
+    ens = sample_paths(R, root, depth, count, seed)
+    assert ens.samples.dtype == object and ens.samples.shape == (count, depth)
+    assert {type(t) for t in ens.samples.flat} == {Fraction}
+    assert ens.samples.tolist() == walk_by_paths(R, root, depth, count, seed)

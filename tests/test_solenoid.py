@@ -1,5 +1,6 @@
 """Solenoid structure: compatibility, shift/lift, invariance, group case."""
 
+import math
 import time
 
 import numpy as np
@@ -126,6 +127,33 @@ def circle_words(draw):
 def test_compatibility_count_matches_the_fraction_oracle(words):
     oracle = sum((2 * w[k + 1]) % 1 != w[k] for w in words for k in range(len(w) - 1))
     assert incompatible_transitions(CircleSpace(), words) == oracle
+
+
+def test_a_million_branching_transitions_and_the_switch_to_python_ints():
+    # from root 0 under Haar every path is constant; D4 from 1/3 branches at every step
+    d4 = ruelle_from_filter(CircleSpace(), daubechies4().m0_coeffs())
+    ens = sample_paths(d4, Fraction(1, 3), 11, 100_000, seed=505)  # 10^6 transitions
+    assert ensemble_compatibility_violations(ens) == 0
+    assert len(set(ens.samples[:, -1].tolist())) > 1
+    # words over pairwise coprime denominators near 2^31 (and their doubles up to 8q): the
+    # count runs on int64 while twice the lcm D is below 2^63, and on Python ints from there
+    # on; the words over 2^59 reach D = 2^62, the first lcm past the switch
+    rng = np.random.default_rng(7)
+    for qs, on_int64 in (([2**31 - 1, 2**28], True), ([2**59], False),
+                         ([2**31 - 1, 2**31 + 1, 2**31], False), ([2**31 - 1, 2**31 + 1, 2**31 + 3], False)):
+        words = []
+        for q in qs:
+            for _ in range(6):
+                word = [Fraction(2 * int(rng.integers(q // 2)) + 1, q)]
+                for _ in range(3):
+                    root = (word[-1] + int(rng.integers(2))) / 2
+                    word.append(root if rng.random() < 0.7 else Fraction(int(rng.integers(2 * q)), 2 * q))
+                words.append(tuple(word))
+        D = math.lcm(*{t.denominator for w in words for t in w})
+        assert (2 * D < 2**63) == on_int64 and D > 2**61
+        oracle = sum((2 * w[k + 1]) % 1 != w[k] for w in words for k in range(len(w) - 1))
+        assert 0 < oracle < 3 * len(words)
+        assert incompatible_transitions(CircleSpace(), words) == oracle
 
 
 class TestShiftInvariance:
