@@ -120,8 +120,9 @@ class FiniteSpace:
 class CircleSpace:
     """The circle under z -> z^2, with trig polynomials of degree <= degree.
 
-    ``grid`` is the uniform evaluation grid used for sampling and pointwise
-    (non-exact) checks; it plays no role in the coefficient algebra.
+    ``grid`` is the default size of the uniform evaluation grid of
+    ``Observable.eval_grid`` and ``sup_norm``; neither sampling nor the
+    coefficient algebra reads it.
     Points are exact angles t in [0, 1), standing for e^{2 pi i t}.
     """
 
@@ -189,18 +190,29 @@ class CircleSpace:
     def incompatible_transitions(words) -> int:
         """Transitions x_k -> x_{k+1} with 2 x_{k+1} != x_k (mod 1) in equal-length angle words.
 
-        Over D, the lcm of all denominators, angles in [0, 1) are numerators N in
-        [0, D), and 2 x_{k+1} = x_k (mod 1) iff (2 N_{k+1} - N_k) mod D = 0.  Every
-        term is below 2D, so int64 holds it while 2D < 2^63; beyond, Python ints do.
+        Over D, a common multiple of a word's denominators, angles in [0, 1) are
+        numerators N in [0, D), and 2 x_{k+1} = x_k (mod 1) iff (2 N_{k+1} - N_k)
+        mod D = 0.  Every term is below 2D.  While twice the lcm of all
+        denominators is below 2^63 it is the one D and the count runs on int64;
+        beyond, each word is written over the lcm of its own denominators on
+        Python ints, so the cost stays linear in the entries however many
+        unrelated denominators the words carry.
         """
         x = np.asarray(words, dtype=object)
         if not x.size:
             return 0
         flat = x.ravel().tolist()
         den = [t.denominator for t in flat]
-        D = math.lcm(*set(den))
-        dtype = np.int64 if 2 * D < 2**63 else object
-        num = (np.array([t.numerator for t in flat], dtype) * (D // np.array(den, dtype))).reshape(x.shape)
+        D, dtype = 1, np.int64
+        for q in set(den):
+            D = math.lcm(D, q)
+            if 2 * D >= 2**63:
+                m = x.shape[1]
+                D = np.array([[math.lcm(*den[i:i + m])] for i in range(0, len(den), m)], dtype=object)
+                dtype = object
+                break
+        num = np.array([t.numerator for t in flat], dtype).reshape(x.shape)
+        num *= D // np.array(den, dtype).reshape(x.shape)
         return int(np.count_nonzero((2 * num[:, 1:] - num[:, :-1]) % D))
 
 

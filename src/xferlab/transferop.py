@@ -288,16 +288,17 @@ def matrix_operator(space: FiniteSpace, rows: Sequence[Sequence[float]]) -> Matr
     return MatrixOperator(space, np.asarray(rows, dtype=float))
 
 
-def ruelle_from_endo(space: FiniteSpace, W: Sequence[float] | None = None) -> MatrixOperator:
-    """Ruelle operator (R phi)(x) = sum_{r(y)=x} W(y) phi(y) on a finite carrier.
+def ruelle_from_endo(space: FiniteSpace) -> MatrixOperator:
+    """Ruelle operator (R phi)(x) = sum_{r(y)=x} phi(y) on a finite carrier.
 
-    Fibers are singletons (finite onto maps are bijections), so W must be
-    identically 1 and the operator is the permutation pullback by r^{-1}.
+    Fibers are singletons (finite onto maps are bijections), so the only
+    weight with R1 = 1 is W = 1 and the operator is the permutation pullback
+    by r^{-1}.
     """
     _require(space, FiniteSpace, "a Ruelle operator of an endomorphism")
     idx = np.arange(space.n)
     k = np.zeros((space.n, space.n))
-    k[space.forward(idx), idx] = np.ones(space.n) if W is None else np.asarray(W, dtype=float)
+    k[space.forward(idx), idx] = 1.0
     return MatrixOperator(space, k)
 
 

@@ -1,12 +1,17 @@
 """CLI: config validation, report shape, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fractions import Fraction
 
+import xferlab
 from xferlab.cli import main
 from xferlab.serialize import angle_from_json
 
@@ -44,6 +49,102 @@ INCONSISTENT = {
     "harmonic-start-negative": ("harmonic", {"edges": [[0, 1, 1.0], [1, 2, 2.0]], "vertices": 3, "boundary": [0, 2],
                                              "boundary_values": {"0": 0.0, "2": 1.0}, "start": -2, "count": 100,
                                              "seed": 1}, "state index in [0, 3)"),
+}
+
+
+# one valid config per task; every config below differs from one of these in a single field
+BASE = {
+    "expectation": {"space": TWO_STATE, "operator": CHAIN_OP, "word": ONE_ON_TWO_STATES, "point": 0},
+    "sample": {"space": TWO_STATE, "operator": CHAIN_OP, "root": 0, "depth": 3.0, "count": 10, "seed": 1},
+    "invariance": {"space": TWO_STATE, "operator": CHAIN_OP},
+    "qmf": {"filter": HAAR},
+    "cascade": {"filter": HAAR},
+    "representation": {"filter": HAAR, "depth": 2, "levels": 3, "degree": 32},
+    "harmonic": {"edges": [[0, 1, 1.0], [1, 2, 2.0]], "vertices": 3, "boundary": [0, 2],
+                 "boundary_values": {"0": 0.0, "2": 1.0}},
+    "correlate": {"space": TWO_STATE, "operator": CHAIN_OP, "phi": {"values": [1, 0]}, "psi": {"values": [1, 0]},
+                  "lags": [0, 1]},
+    "solenoid": {"space": CIRCLE, "operator": HAAR_OP, "point": 0, "depth": 3},
+    "smale-williams": {"steps": 10},
+}
+DROP = object()
+HAAR_TAP = HAAR["coeffs"][0]
+
+
+def _with(task, **changes):
+    cfg = {k: v for k, v in {**BASE[task], **changes}.items() if v is not DROP}
+    return task, cfg
+
+
+def _edges(*edges):
+    return _with("harmonic", edges=[[0, 1, 1.0], *edges])
+
+
+# fields the loaders once coerced, each accepted or crashing with a traceback:
+# (task, config, the field the message names)
+COERCED = {
+    "degree-fractional": _with("solenoid", space={"kind": "circle", "degree": 32.9}) + ("space.degree",),
+    "degree-string": _with("solenoid", space={"kind": "circle", "degree": "32"}) + ("space.degree",),
+    "states-string": _with("invariance", space={"kind": "finite", "states": "ab"}) + ("space.states",),
+    "rows-string": _with("invariance", operator={"kind": "matrix", "rows": [["0.75", 0.25], [0.5, 0.5]]})
+    + ("operator.rows[0][0]",),
+    "weights-string": _with("expectation", point=DROP, measure={"kind": "weights", "weights": ["0.5", 0.5]})
+    + ("measure.weights[0]",),
+    "values-bool-and-string": _with("expectation", word=[{"values": [True, "0"]}]) + ("word[0].values[0]",),
+    "endo-fractional": _with("invariance", space={**TWO_STATE, "endo": [1.7, 0]}, operator={"kind": "endo"})
+    + ("space.endo[0]",),
+    "edge-fractional-vertex": _edges([0.9, 1, 1.0]) + ("edges[1][0]",),
+    "edge-negative-vertex": _edges([1, -1, 2.0]) + ("edges[1][1]",),
+    "edge-vertex-past-the-end": _edges([1, 5, 2.0]) + ("edges[1]",),
+    "normalization-string": _with("qmf", filter={**HAAR, "require_normalization": "no"})
+    + ("filter.require_normalization",),
+    "m0-key-underscore": _with("solenoid", operator={"kind": "ruelle", "m0": {"0": HAAR_TAP, "1_1": HAAR_TAP}})
+    + ("operator.m0",),
+    "m0-key-twice": _with("solenoid", operator={"kind": "ruelle", "m0": {"0": HAAR_TAP, "1": HAAR_TAP, "01": HAAR_TAP}})
+    + ("operator.m0",),
+    "boundary-value-string": _with("harmonic", boundary_values={"0": 0.0, "2": "1"}) + ("boundary_values.2",),
+    "fourier-key-space": _with("solenoid", operator={"kind": "ruelle", "weight": {" 0": 0.5}}) + ("operator.weight",),
+}
+
+# one config per constraint of the former JSON Schema: (task, config, the field the message names)
+SCHEMA = {
+    **{f"{task}-missing-{key}": _with(task, **{key: DROP}) + (key,) for task, key in (
+        ("expectation", "word"), ("sample", "seed"), ("sample", "root"), ("invariance", "operator"),
+        ("qmf", "filter"), ("cascade", "filter"), ("representation", "filter"), ("harmonic", "boundary_values"),
+        ("harmonic", "boundary"), ("correlate", "lags"), ("correlate", "psi"), ("solenoid", "depth"),
+        ("solenoid", "point"), ("smale-williams", "steps"))},
+    "space-not-an-object": _with("invariance", space=["finite"]) + ("space",),
+    "space-without-kind": _with("invariance", space={"states": ["a", "b"]}) + ("space.kind",),
+    "operator-without-kind": _with("invariance", operator={"rows": CHAIN_OP["rows"]}) + ("operator.kind",),
+    "measure-without-kind": _with("invariance", measure={}) + ("measure.kind",),
+    "filter-without-coeffs": _with("cascade", filter={"offset": 0}) + ("filter.coeffs",),
+    "word-item-a-string": _with("expectation", word=["x"]) + ("word[0]",),
+    "word-empty": _with("expectation", word=[]) + ("cylinder word",),
+    "config-not-an-object": ("qmf", [HAAR], "config"),
+    "depth-fractional": _with("sample", depth=3.5) + ("depth",),
+    "count-true": _with("sample", count=True) + ("count",),
+    "seed-string": _with("sample", seed="1") + ("seed",),
+    "tolerance-true": _with("invariance", tolerance=True) + ("tolerance",),
+    "tolerance-string": _with("qmf", tolerance="1") + ("tolerance",),
+    "expected-string": _with("expectation", expected="0.5") + ("expected",),
+    "sigma-level-string": _with("sample", sigma_level="4") + ("sigma_level",),
+    "offset-fractional": _with("qmf", filter={**HAAR, "offset": 1.5}) + ("filter.offset",),
+    "coeff-triple": _with("qmf", filter={"coeffs": [[0.7, 0, 0], 0.7]}) + ("filter.coeffs[0]",),
+    "allow-non-qmf-one": _with("cascade", allow_non_qmf=1) + ("allow_non_qmf",),
+    "z-wrong-length": _with("smale-williams", z=[0.1, 0.2, 0.3]) + ("z",),
+    "t-string": _with("smale-williams", t="0.5") + ("t",),
+    "lags-not-an-array": _with("correlate", lags=2) + ("lags",),
+    "boundary-fractional": _with("harmonic", boundary=[0, 2.5]) + ("boundary[1]",),
+    "boundary-key-not-decimal": _with("harmonic", boundary_values={"0": 0.0, "0x2": 1.0}) + ("boundary_values",),
+    "edge-pair": _with("harmonic", edges=[[0, 1, 1.0], [1, 2]]) + ("edges[1]",),
+    "neither-conductance-nor-edges": _with("harmonic", edges=DROP) + ("conductance",),
+    "neither-conductance-nor-vertices": _with("harmonic", vertices=DROP) + ("conductance",),
+    **{f"{task}-{key}-{low}": _with(task, **{key: low}) + (key,) for task, key, low in (
+        ("sample", "depth", 0), ("sample", "count", 0), ("solenoid", "depth", 0), ("smale-williams", "steps", 0),
+        ("cascade", "iterations", -1), ("cascade", "resolution", 0), ("representation", "depth", 0),
+        ("representation", "levels", -1), ("representation", "max_char", 0), ("representation", "degree", 0),
+        ("harmonic", "count", -1), ("harmonic", "vertices", 1), ("qmf", "grid", 0))},
+    "lags-negative": _with("correlate", lags=[0, -1]) + ("lags[1]",),
 }
 
 
@@ -94,6 +195,34 @@ class TestExitCodes:
         code, _ = run(tmp_path, task, cfg)
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", BASE)
+    def test_base_configs_are_valid(self, tmp_path, task):
+        code, report = run(tmp_path, task, BASE[task])
+        assert code == 0 and report["pass"]
+
+    @pytest.mark.parametrize("task,cfg,name", [*COERCED.values(), *SCHEMA.values()],
+                             ids=[*COERCED.keys(), *SCHEMA.keys()])
+    def test_malformed_field_is_config_error_naming_it(self, tmp_path, capsys, task, cfg, name):
+        code, report = run(tmp_path, task, cfg)
+        err = capsys.readouterr().err
+        assert code == 2 and report is None
+        assert err.startswith("invalid config: ") and name in err
+
+    def test_malformed_word_is_refused_before_sampling(self, tmp_path, monkeypatch):
+        from xferlab import pathmeasure
+
+        def never(*args):
+            raise AssertionError("sampled before the config was read")
+
+        monkeypatch.setattr(pathmeasure, "sample_paths", never)
+        code, _ = run(tmp_path, *_with("sample", word=[{"values": [1, 0]}, {"values": [1, "0"]}]))
+        assert code == 2
+
+    def test_cli_import_does_not_load_jsonschema(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(xferlab.__file__).resolve().parents[1])}
+        probe = "import xferlab.cli, sys; assert 'jsonschema' not in sys.modules"
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
     def test_failing_claim_is_exit_one(self, tmp_path):
         cfg = {

@@ -2,6 +2,7 @@
 
 import math
 import time
+import timeit
 
 import numpy as np
 import pytest
@@ -154,6 +155,39 @@ def test_a_million_branching_transitions_and_the_switch_to_python_ints():
         oracle = sum((2 * w[k + 1]) % 1 != w[k] for w in words for k in range(len(w) - 1))
         assert 0 < oracle < 3 * len(words)
         assert incompatible_transitions(CircleSpace(), words) == oracle
+
+
+def _primes_above(lo, k):
+    sieve = np.ones(lo + 20 * k, dtype=bool)
+    for i in range(2, math.isqrt(sieve.size) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    return [int(p) for p in np.flatnonzero(sieve[lo:])[:k] + lo]
+
+
+def test_count_over_thousands_of_unrelated_denominators_is_linear():
+    # the lcm of 4,000 primes near 10^5 has some 20,000 digits; each word is read over its own
+    words = [(Fraction(1, p), Fraction(p + 1, 2 * p)) for p in _primes_above(10**5, 4000)]
+    assert incompatible_transitions(CircleSpace(), words) == 0
+    # best of three calls, so that a scheduler pause or a garbage-collection pass is not read as its cost
+    assert min(timeit.repeat(lambda: incompatible_transitions(CircleSpace(), words), number=1, repeat=3)) < 0.1
+
+
+def test_count_per_word_lcm_matches_the_fraction_oracle():
+    rng = np.random.default_rng(11)
+    primes = _primes_above(10**5, 200)
+    words = []
+    for p in primes:
+        word = [Fraction(int(rng.integers(1, p)), p)]
+        for _ in range(3):
+            q = primes[int(rng.integers(len(primes)))]
+            root = (word[-1] + int(rng.integers(2))) / 2
+            word.append(root if rng.random() < 0.6 else Fraction(int(rng.integers(2 * q)), 2 * q))
+        words.append(tuple(word))
+    assert 2 * math.lcm(*{t.denominator for w in words for t in w}) >= 2**63
+    oracle = sum((2 * w[k + 1]) % 1 != w[k] for w in words for k in range(len(w) - 1))
+    assert 0 < oracle < 3 * len(words)
+    assert incompatible_transitions(CircleSpace(), words) == oracle
 
 
 class TestShiftInvariance:
