@@ -23,6 +23,7 @@ from .serialize import (
     measure_from_json,
     observable_from_json,
     operator_from_json,
+    point_from_json,
     space_from_json,
     value,
 )
@@ -72,7 +73,7 @@ def run_expectation(cfg):
     word = _load_word(space, field(cfg, "word", list))
     claims = []
     if "point" in cfg:
-        x = space.point(cfg["point"])
+        x = point_from_json(space, cfg["point"], "point")
         val = pathmeasure.cylinder_expectation(R, x, word)
         claims.append(_claim("kolmogorov_consistency", pathmeasure.consistency_residual(R, x, word), 1e-12))
     else:
@@ -93,7 +94,10 @@ def run_sample(cfg):
     if word is not None:
         word = _load_word(space, word)
     root = field(cfg, "root", object)
-    root = measure_from_json(space, root, R, "root") if isinstance(root, dict) else space.point(root)
+    if isinstance(root, dict):
+        root = measure_from_json(space, root, R, "root")
+    else:
+        root = point_from_json(space, root, "root")
     ens = pathmeasure.sample_paths(R, root, depth, count, seed)
     report = {"count": ens.count, "depth": ens.depth, "fingerprint": ens.fingerprint}
     claims = []
@@ -231,8 +235,8 @@ def run_harmonic(cfg):
             c[u, v] = c[v, u] = value(edge[2], float, f"{name}[2]")
     space = FiniteSpace(tuple(f"v{i}" for i in range(c.shape[0])))
     net = graphwalk.Network(space, c, tuple(boundary))
-    mc = bool(count) and start is not None
-    x = space.point(start) if mc else None
+    x = None if start is None else point_from_json(space, start, "start")
+    mc = bool(count) and x is not None
     h = graphwalk.harmonic_solve(net, bv)
     report = {"values": list(np.real(h.values))}
     claims = [
@@ -267,7 +271,7 @@ def run_solenoid(cfg):
     tol = field(cfg, "tolerance", float, 1e-12)
     expected = field(cfg, "expected_mass", float, None)
     space, R = _load_chain(cfg)
-    x = space.point(field(cfg, "point", object))
+    x = point_from_json(space, field(cfg, "point", object), "point")
     mass = solenoid.support_mass(R, x, depth)
     report = {"support_mass": mass, "pullout_residual": pullout_check(R)}
     claims = [_claim("pullout_axiom", report["pullout_residual"], 1e-10)]
@@ -325,15 +329,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _no_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _finite_float(literal):
+    x = float(literal)
+    if not np.isfinite(x):
+        raise ValueError(f"{literal} overflows a float")
+    return x
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_no_constant, parse_float=_finite_float)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a refusal of _no_constant or _finite_float
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:

@@ -98,31 +98,16 @@ def detailed_balance_residual(net: Network) -> float:
 def harmonic_solve(net: Network, boundary_values: Mapping[int, float]) -> Observable:
     """Solve the Dirichlet problem: Delta h = 0 inside, h given on the boundary.
 
-    The interior system (diag(c) - C) h_int = C[:, boundary] h_bd is strictly
-    solvable exactly when every interior component touches the boundary; a
-    singular system is reported rather than regularized.
+    Inside, Delta h = 0 reads P h = h, so h is the walk's harmonic extension
+    of the boundary values (``MatrixOperator.harmonic_extension``).  It is
+    unique exactly when every interior vertex has a path to the boundary; the
+    vertices without one are named in a ValueError, whatever the conductances.
     """
     if set(boundary_values) != set(net.boundary):
         raise ValueError("boundary values must be given on exactly the boundary set")
-    n = net.space.n
-    h = np.zeros(n)
-    for b, v in boundary_values.items():
-        h[b] = float(v)
-    interior = np.nonzero(net._interior_mask())[0]
-    if interior.size:
-        c = net.conductance
-        a = np.diag(net.total_conductance()[interior]) - c[np.ix_(interior, interior)]
-        rhs = c[np.ix_(interior, np.asarray(net.boundary, dtype=int))] @ h[
-            np.asarray(net.boundary, dtype=int)
-        ]
-        try:
-            h[interior] = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                "Dirichlet system is singular: some interior component never "
-                "reaches the boundary"
-            ) from exc
-    return Observable.from_values(net.space, h)
+    h = np.zeros(net.space.n)
+    h[list(boundary_values)] = [float(v) for v in boundary_values.values()]
+    return Observable.from_values(net.space, transition_operator(net).harmonic_extension(h))
 
 
 @dataclass
@@ -150,9 +135,7 @@ def hitting_verification(
     """
     h = harmonic_solve(net, boundary_values)
     kernel = transition_operator(net).kernel
-    absorbing = np.zeros(net.space.n, dtype=bool)
-    absorbing[list(net.boundary)] = True
-    finals, capped = simulate_absorbing(kernel, absorbing, start, count, seed, step_cap)
+    finals, capped = simulate_absorbing(kernel, ~net._interior_mask(), start, count, seed, step_cap)
     estimate, stderr = mean_stderr(np.real(np.asarray(h.values))[finals])
     return HittingReport(
         exact=float(np.real(h.values[start])),

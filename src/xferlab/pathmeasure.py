@@ -417,7 +417,8 @@ def harmonic_correspondence(
 
     Checks E_x(h o pi_{n+1}) = h(x) for n <= depth, and on absorbing finite
     chains identifies the a.s. limit with the boundary-value function:
-    E_x(h(X_absorption)) = h(x), exactly and optionally by Monte Carlo.
+    E_x(h(X_absorption)) = h(x), exactly and optionally by Monte Carlo; a
+    state that never absorbs raises ValueError (``harmonic_extension``).
     """
     resid = (R.apply(h) - h).coeff_norm()
     if resid > 1e-10:
@@ -433,20 +434,13 @@ def harmonic_correspondence(
     mc_estimate = mc_stderr = None
     capped = 0
     if absorbing_states and len(absorbing_states) < R.space.n:
-        k = R.kernel
-        mask = np.zeros(R.space.n, dtype=bool)
-        mask[absorbing_states] = True
-        interior = np.nonzero(~mask)[0]
-        q = k[np.ix_(interior, interior)]
-        rpart = k[np.ix_(interior, np.nonzero(mask)[0])]
-        # absorption probabilities: (I - Q) A = R_part
-        a = np.linalg.solve(np.eye(len(interior)) - q, rpart)
-        exact = np.real(np.asarray(h.values)).astype(float).copy()
-        exact[interior] = a @ np.real(np.asarray(h.values))[mask]
-        boundary_residual = float(np.max(np.abs(exact - np.real(h.values))))
+        values = np.real(np.asarray(h.values))
+        boundary_residual = float(np.max(np.abs(R.harmonic_extension(values) - values)))
         if mc_count and mc_start is not None:
-            finals, capped = simulate_absorbing(k, mask, mc_start, mc_count, seed)
-            mc_estimate, mc_stderr = mean_stderr(np.real(np.asarray(h.values))[finals])
+            mask = np.zeros(R.space.n, dtype=bool)
+            mask[absorbing_states] = True
+            finals, capped = simulate_absorbing(R.kernel, mask, mc_start, mc_count, seed)
+            mc_estimate, mc_stderr = mean_stderr(values[finals])
     return HarmonicReport(
         harmonic_residual=float(resid),
         martingale_residuals=[float(r) for r in mart],

@@ -92,6 +92,14 @@ def int_keyed(d, key: str, kind: type, at: str = "") -> dict:
     return out
 
 
+def point_from_json(space: Space, v, name: str):
+    """``space.point(v)``, refused with a ValueError that begins with the field ``name``."""
+    try:
+        return space.point(v)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def space_from_json(d: Mapping[str, Any], at: str = "space") -> Space:
     kind = field(d, "kind", str, at=at)
     if kind == "finite":
@@ -122,7 +130,8 @@ def measure_from_json(space: Space, d: Mapping[str, Any], R: TransferOperator | 
     if kind == "uniform":
         return Measure.uniform(space)
     if kind == "point":
-        return Measure.point_mass(space, field(d, "state", object, at=at))
+        state = point_from_json(space, field(d, "state", object, at=at), f"{at}.state")
+        return Measure.point_mass(space, state)
     if kind == "haar":
         return Measure.haar_measure(space)
     if kind == "stationary":

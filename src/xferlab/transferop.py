@@ -144,6 +144,27 @@ class MatrixOperator(TransferOperator):
         """States x with K[x, x] = 1 within 1e-12."""
         return np.flatnonzero(np.isclose(np.diag(self.kernel), 1.0, atol=1e-12)).tolist()
 
+    def harmonic_extension(self, values) -> np.ndarray:
+        """The h equal to ``values`` on ``absorbing_states`` with Kh = h elsewhere: E_x(values at absorption).
+
+        One solve (I - Q) h = K[inner, absorbing] values[absorbing] with Q = K[inner, inner]. I - Q is
+        invertible exactly when every state has a path to an absorbing state on the graph K > 0
+        (Kemeny and Snell's fundamental matrix), so the states without one are refused by name first.
+        """
+        k = self.kernel
+        absorbing = np.zeros(self.space.n, dtype=bool)
+        absorbing[self.absorbing_states()] = True
+        reach, new = absorbing.copy(), absorbing
+        while new.any():  # grow backward from the absorbing set: new states step into the last ones
+            new = (k[:, new] > 0).any(axis=1) & ~reach
+            reach |= new
+        if not reach.all():
+            raise ValueError(f"states {np.flatnonzero(~reach).tolist()} never reach an absorbing state")
+        h, inner = np.array(values, dtype=float), ~absorbing
+        q = k[np.ix_(inner, inner)]
+        h[inner] = np.linalg.solve(np.eye(len(q)) - q, k[np.ix_(inner, absorbing)] @ h[absorbing])
+        return h
+
     def walk(self, root, n: int, count: int, seed: int):
         """The walker of ``sample_paths``: the shared bisection step, vectorised across paths."""
         from .pathmeasure import PathEnsemble, _cdf_table, _next_states

@@ -145,6 +145,12 @@ SCHEMA = {
         ("representation", "levels", -1), ("representation", "max_char", 0), ("representation", "degree", 0),
         ("harmonic", "count", -1), ("harmonic", "vertices", 1), ("qmf", "grid", 0))},
     "lags-negative": _with("correlate", lags=[0, -1]) + ("lags[1]",),
+    "point-past-the-end-named": _with("expectation", point=5) + ("point: ",),
+    "root-a-pair": _with("sample", root=[1, 3]) + ("root: ",),
+    "start-past-the-end": _with("harmonic", start=3) + ("start: ",),
+    "solenoid-point-a-float": _with("solenoid", point=0.1) + ("point: ",),
+    "measure-state-past-the-end": _with("expectation", point=DROP, measure={"kind": "point", "state": 5})
+    + ("measure.state: ",),
 }
 
 
@@ -172,6 +178,28 @@ class TestExitCodes:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["qmf", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "-2.5e400"])
+    def test_non_finite_number_is_config_error_naming_it(self, tmp_path, capsys, token):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"space": {"kind": "finite", "states": ["a", "b"]}, "operator": %s, '
+                     '"word": [{"values": [%s, 0]}], "point": 0}' % (json.dumps(CHAIN_OP), token))
+        assert main(["expectation", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config is not valid JSON: ") and token in err
+
+    def test_unreachable_states_are_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
+        from xferlab import graphwalk
+
+        def never(*args):
+            raise AssertionError("sampled a walk that never absorbs")
+
+        monkeypatch.setattr(graphwalk, "simulate_absorbing", never)
+        cfg = {"vertices": 5, "edges": [[0, 1, 1.0], [2, 3, 0.5], [3, 4, 0.25], [2, 4, 1.7]], "boundary": [0],
+               "boundary_values": {"0": 1.0}, "start": 3, "count": 10, "seed": 1}
+        code, report = run(tmp_path, "harmonic", cfg)
+        assert code == 2 and report is None
+        assert "[2, 3, 4]" in capsys.readouterr().err
 
     def test_schema_violation_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "qmf", {"filter": {"offset": 1}})

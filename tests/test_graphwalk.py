@@ -1,8 +1,11 @@
 """Conductance networks: Dirichlet problem, reversibility, hitting times."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xferlab import (
@@ -11,6 +14,7 @@ from xferlab import (
     NormalizationError,
     Observable,
     detailed_balance_residual,
+    harmonic_correspondence,
     harmonic_solve,
     harmonicity_residual,
     hitting_verification,
@@ -98,6 +102,71 @@ class TestDirichletProblem:
         net = path_network([c1, c2])
         h = harmonic_solve(net, {0: 0.0, 2: 1.0})
         assert h.values[1] == pytest.approx(c2 / (c1 + c2), rel=1e-12)
+
+
+def dirichlet_oracle(c, values):
+    """Exact h from the interior Laplacian rows by Gauss-Jordan elimination over Fractions; None if singular.
+
+    Row x reads c(x) h(x) - sum_{y inside} c_xy h(y) = sum_{b on the boundary} c_xb values[b].
+    """
+    inner = [x for x in range(len(c)) if x not in values]
+    rows = [[Fraction(int(c[x].sum()) if y == x else -int(c[x, y])) for y in inner]
+            + [Fraction(sum(int(c[x, b]) * v for b, v in values.items()))] for x in inner]
+    m = len(inner)
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(m):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    h = [Fraction(values.get(x, 0)) for x in range(len(c))]
+    for i, x in enumerate(inner):
+        h[x] = rows[i][m] / rows[i][i]
+    return h
+
+
+@st.composite
+def integer_networks(draw):
+    """Networks of 2-7 vertices with conductances in {0, 1, 2, 3} and integer boundary values in [-3, 3]."""
+    n = draw(st.integers(2, 7))
+    c = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        c[i, j] = c[j, i] = draw(st.integers(0, 3))
+    boundary = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    assume(all(c[x].sum() > 0 for x in range(n) if x not in boundary))
+    return c, {b: draw(st.integers(-3, 3)) for b in sorted(boundary)}
+
+
+class TestAbsorptionSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_networks())
+    def test_harmonic_solve_matches_exact_elimination(self, drawn):
+        c, values = drawn
+        net = Network(FiniteSpace(tuple(f"v{i}" for i in range(len(c)))), c, tuple(values))
+        exact = dirichlet_oracle(c, values)
+        if exact is None:  # some interior component has no edge to the boundary
+            with pytest.raises(ValueError, match="never reach an absorbing state"):
+                harmonic_solve(net, values)
+            return
+        h = harmonic_solve(net, values)
+        assert np.max(np.abs(h.values - np.array(exact, dtype=float))) <= 1e-12
+        assert harmonic_correspondence(transition_operator(net), None, h).boundary_residual <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.1, 2), min_size=4, max_size=4), st.floats(-2, 2))
+    def test_a_component_cut_off_from_the_boundary_is_named(self, conductances, value):
+        # vertices 2, 3, 4 form a triangle with no edge to the boundary {0}
+        conductance = np.zeros((5, 5))
+        for (u, v), w in zip([(0, 1), (2, 3), (3, 4), (2, 4)], conductances):
+            conductance[u, v] = conductance[v, u] = w
+        net = Network(FiniteSpace(tuple("abcde")), conductance, (0,))
+        with pytest.raises(ValueError, match=r"states \[2, 3, 4\] never reach"):
+            harmonic_solve(net, {0: value})
+        with pytest.raises(ValueError, match=r"states \[2, 3, 4\] never reach"):
+            harmonic_correspondence(transition_operator(net), None, Observable.constant(net.space, value))
 
 
 class TestHitting:

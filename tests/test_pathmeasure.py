@@ -379,6 +379,13 @@ class TestHarmonicCorrespondence:
         with pytest.raises(NotHarmonicError):
             harmonic_correspondence(R, None, bad)
 
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 0, 1], [0, 1, 0]],  # I - Q singular
+                                      [[1, 0, 0], [0, 1 / 3, 2 / 3], [0, 2 / 3, 1 / 3]]])  # singular up to rounding
+    def test_states_that_never_absorb_are_named(self, rows):
+        sp = FiniteSpace(("a", "b", "c"))
+        with pytest.raises(ValueError, match=r"states \[1, 2\] never reach"):
+            harmonic_correspondence(matrix_operator(sp, rows), None, Observable.constant(sp, 1.0))
+
 
 @st.composite
 def real_words(draw):
