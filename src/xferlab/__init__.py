@@ -80,10 +80,8 @@ from .wavelet import (
     daubechies4,
     haar_filter,
     intertwining_check,
-    lawton_apply,
     lawton_multiplicity,
     orthogonality_defect,
-    orthogonality_from_filter,
     qmf_check,
     representation_check,
     stretched_haar,

@@ -29,7 +29,7 @@ from .serialize import (
 )
 from .statespace import CircleSpace, FiniteSpace, Measure, integrate
 from .transferop import pullout_check, stationarity_residual
-from .errors import NoEndomorphismError, XferlabError
+from .errors import ConvergenceError, NoEndomorphismError, NormalizationError, XferlabError
 
 STATIONARY = {"kind": "stationary"}
 
@@ -160,23 +160,27 @@ def run_cascade(cfg):
     allow_non_qmf = field(cfg, "allow_non_qmf", bool, False)
     tol = field(cfg, "orthogonality_tolerance", float, 1e-4)
     h = filter_from_json(field(cfg, "filter", dict))
-    sf = wavelet.cascade(h, iterations=iterations, resolution=resolution, allow_non_qmf=allow_non_qmf)
-    a_grid = wavelet.translate_orthogonality(sf)
-    a_fixed = wavelet.orthogonality_from_filter(h)
-    report = {
-        "integral": sf.integral(),
-        "refinement_residuals": sf.refinement_residuals,
-        "orthogonality_grid": {str(k): [v.real, v.imag] for k, v in sorted(a_grid.items())},
-        "orthogonality_fixed_point": {
-            str(k): [v.real, v.imag] for k, v in sorted(a_fixed.items())
-        },
-    }
-    claims = [
-        _claim("translate_orthogonality", wavelet.orthogonality_defect(a_grid), tol),
-        _claim(
-            "filter_domain_orthogonality", wavelet.orthogonality_defect(a_fixed), max(tol, 1e-8)
-        ),
-    ]
+    report, claims = {}, []
+    try:
+        sf = wavelet.cascade(h, iterations=iterations, resolution=resolution, allow_non_qmf=allow_non_qmf)
+    except ConvergenceError:  # the residual grew three times in a row: a failing claim, not a bad config
+        claims.append(_claim("cascade_converging", 1.0, 0.0))
+    else:
+        a_grid = wavelet.translate_orthogonality(sf)
+        report.update(
+            integral=sf.integral(),
+            refinement_residuals=sf.refinement_residuals,
+            orthogonality_grid={str(k): [v.real, v.imag] for k, v in sorted(a_grid.items())},
+        )
+        claims.append(_claim("cascade_converging", 0.0, 0.0))
+        claims.append(_claim("translate_orthogonality", wavelet.orthogonality_defect(a_grid), tol))
+    try:
+        count = wavelet.lawton_multiplicity(h)
+    except NormalizationError:  # a non-QMF negative control: Lawton's criterion does not apply
+        pass
+    else:
+        report["lawton_multiplicity"] = count
+        claims.append(_claim("lawton_simple_eigenvalue", count, 0, "==", 1))
     return report, claims
 
 

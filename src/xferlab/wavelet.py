@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NormalizationError, XferlabError
+from .errors import ConvergenceError, NormalizationError
 from .pathmeasure import CylinderFunctional, conditional_expectation, sigma_expectation
 from .solenoid import word_compose_rhat
 from .statespace import (
@@ -34,9 +34,10 @@ from .statespace import (
     integrate,
     sparse_coeffs,
 )
-from .transferop import ruelle_from_filter
+from .transferop import CERTIFICATE_C, ruelle_from_filter
 
 SQRT2 = math.sqrt(2.0)
+QMF_TOL = 1e-10  # largest coefficient residual of a filter taken as quadrature-mirror
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,20 +196,20 @@ def cascade(
     h: QMFFilter,
     iterations: int,
     resolution: int = 10,
-    qmf_tol: float = 1e-10,
     allow_non_qmf: bool = False,
 ) -> ScalingFunction:
     """Iterate the refinement operator from the indicator of [0, 1).
 
     Requires the quadrature-mirror property unless explicitly waived (the
     waiver exists for negative controls; convergence is then not expected).
-    Raises on three consecutive iterations of growing refinement residual.
+    Raises ConvergenceError on three consecutive iterations of growing
+    refinement residual.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     if h.length < 2:
         raise ValueError("cascade needs a filter of length >= 2")
-    if not allow_non_qmf and qmf_check(h).coeff_residual > qmf_tol:
+    if not allow_non_qmf and qmf_check(h).coeff_residual > QMF_TOL:
         raise NormalizationError(
             "filter fails the quadrature-mirror identity; pass allow_non_qmf=True "
             "to cascade a negative control"
@@ -225,7 +226,7 @@ def cascade(
         if residuals and res > residuals[-1]:
             growing += 1
             if growing >= 3:
-                raise XferlabError("cascade diverging: residual grew 3 iterations in a row")
+                raise ConvergenceError("cascade diverging: residual grew 3 iterations in a row")
         else:
             growing = 0
         residuals.append(res)
@@ -249,50 +250,40 @@ def translate_orthogonality(sf: ScalingFunction) -> dict[int, complex]:
     return out
 
 
-def lawton_apply(h: QMFFilter, a: Mapping[int, complex]) -> dict[int, complex]:
-    """One step of the autocorrelation transfer map (T a)(k) = sum h_n conj(h_m) a(2k + m - n).
+def lawton_multiplicity(h: QMFFilter) -> int:
+    """Certified multiplicity of eigenvalue 1 of the Lawton matrix ``_lawton_matrix(h)``.
 
-    Grouped by lag this is sum_j A_{2k - j} a(j) with A the filter autocorrelation: the
-    even-index gather of the convolution A * a, read on |k| <= len(h) - 1.  The
-    translate-correlation sequence of the scaling function is a fixed point of T
-    supported on |k| <= len(h) - 2.
+    For a quadrature-mirror filter the translates of the scaling function are
+    orthonormal exactly when this is 1 (Lawton 1991; Cohen 1990).  The count is
+    the number of singular values of T - I at or below
+    tau = CERTIFICATE_C n eps ||T||_2 + n delta, with delta the QMF coefficient
+    residual.  ConvergenceError is raised when a singular value lies in
+    (tau, 100 tau], where the count is not certain; NormalizationError when the
+    filter is not QMF, where the criterion does not hold.
     """
-    span = h.length - 1
-    dense, offset = dense_coeffs(a)
-    g, k0 = even_gather(convolve(h.autocorrelation(), dense), offset - span)
-    lags = range(-span, span + 1)
-    return dict(zip(lags, coeffs_at(g, k0, np.array(lags)).tolist()))
-
-
-def orthogonality_from_filter(
-    h: QMFFilter, iterations: int = 60
-) -> dict[int, complex]:
-    """Autocorrelation fixed point reached from the delta sequence.
-
-    For an orthogonal filter this converges to the translate-correlation
-    sequence (the delta itself).  Note the delta is fixed by T for *every*
-    quadrature-mirror filter, so failure of orthogonality must be read off
-    the eigenvalue-1 multiplicity (lawton_multiplicity), not this iteration.
-    """
-    span = h.length - 1
-    a = {k: (1.0 + 0.0j if k == 0 else 0.0j) for k in range(-span, span + 1)}
-    for _ in range(iterations):
-        a = lawton_apply(h, a)
-    return a
-
-
-def lawton_multiplicity(h: QMFFilter, tol: float = 1e-8) -> int:
-    """Multiplicity of eigenvalue 1 of the autocorrelation transfer matrix.
-
-    Translates of the scaling function are orthonormal exactly when this is
-    1 (the delta sequence is then the only fixed point).
-    """
-    ev = np.linalg.eigvals(_lawton_matrix(h))
-    return int(np.sum(np.abs(ev - 1.0) < tol))
+    delta = qmf_check(h).coeff_residual
+    if delta > QMF_TOL:
+        raise NormalizationError(
+            f"filter fails the quadrature-mirror identity by {delta:.3g}; "
+            "Lawton's criterion needs a QMF filter"
+        )
+    t = _lawton_matrix(h)
+    n = len(t)
+    s = np.linalg.svd(t - np.eye(n), compute_uv=False)
+    tau = CERTIFICATE_C * n * np.finfo(float).eps * np.linalg.norm(t, 2) + n * delta
+    if np.any((s > tau) & (s <= 100 * tau)):
+        raise ConvergenceError(f"no clear gap above {tau:.3g} in the singular values of T - I: {np.sort(s)}")
+    return int(np.sum(s <= tau))
 
 
 def _lawton_matrix(h: QMFFilter) -> np.ndarray:
-    """The matrix of ``lawton_apply`` on the lags |k| <= len(h) - 1: t[k, j] = A_{2k - j}."""
+    """The autocorrelation transfer matrix on the lags |k| <= len(h) - 1: t[k, j] = A_{2k - j}.
+
+    This is (T a)(k) = sum h_n conj(h_m) a(2k + m - n), Ruelle's operator R_W on
+    trigonometric polynomials of degree below len(h), with A the filter
+    autocorrelation.  The translate-correlation sequence of the scaling
+    function is a fixed point of T, and so is the delta for every QMF filter.
+    """
     lags = np.arange(1 - h.length, h.length)
     return coeffs_at(h.autocorrelation(), 1 - h.length, 2 * lags[:, None] - lags[None, :])
 

@@ -341,6 +341,41 @@ class TestTasks:
         assert code == 0
         assert report["integral"] == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("iterations", [2, 3, 4, 12])
+    def test_cascade_of_stretched_haar_fails_lawton(self, tmp_path, iterations):
+        # QMF, but (1/3) chi_[0,3) has non-orthonormal translates: eigenvalue 1 is double
+        cfg = {"filter": {"coeffs": [HAAR_TAP, 0, 0, HAAR_TAP]}, "iterations": iterations}
+        code, report = run(tmp_path, "cascade", cfg)
+        claims = {c["name"]: c for c in report["claims"]}
+        assert code == 1 and report["lawton_multiplicity"] == 2
+        assert claims["lawton_simple_eigenvalue"]["value"] == 2 and not claims["lawton_simple_eigenvalue"]["pass"]
+
+    @pytest.mark.parametrize("coeffs", [
+        HAAR["coeffs"],
+        [0.707106781187] * 2,
+        xferlab.daubechies4().coeffs.real.tolist(),
+        [0.48296291314469025, 0.8365163037378079, 0.2241438680420134, -0.12940952255092145],
+    ], ids=["haar", "haar-12-digits", "d4", "d4-rounded"])
+    def test_cascade_of_orthonormal_filters_passes(self, tmp_path, coeffs):
+        code, report = run(tmp_path, "cascade", {"filter": {"coeffs": coeffs}, "iterations": 12, "resolution": 10})
+        assert code == 0 and report["lawton_multiplicity"] == 1
+        assert {c["name"] for c in report["claims"]} == {
+            "cascade_converging", "translate_orthogonality", "lawton_simple_eigenvalue"
+        }
+
+    def test_growing_cascade_is_a_failing_claim(self, tmp_path):
+        taps = [0.6501756245823669, -0.04895778975246476, 0.056931156604180556, 0.7560645709390122]
+        code, report = run(tmp_path, "cascade", {"filter": {"coeffs": taps}, "iterations": 12, "resolution": 10})
+        claims = {c["name"]: c["pass"] for c in report["claims"]}
+        assert code == 1
+        assert claims == {"cascade_converging": False, "lawton_simple_eigenvalue": True}
+
+    def test_non_qmf_cascade_has_no_lawton_claim(self, tmp_path):
+        cfg = {"filter": {"coeffs": [HAAR_TAP, 0, HAAR_TAP]}, "allow_non_qmf": True}
+        code, report = run(tmp_path, "cascade", cfg)
+        assert code == 1 and "lawton_multiplicity" not in report
+        assert "lawton_simple_eigenvalue" not in {c["name"] for c in report["claims"]}
+
     def test_representation(self, tmp_path):
         code, report = run(tmp_path, "representation", {"filter": HAAR, "depth": 2, "levels": 3})
         assert code == 0

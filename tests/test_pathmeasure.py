@@ -152,6 +152,18 @@ class TestSampling:
         mean, stderr = ens.functional_mean(word)
         assert abs(mean - 0.5625) < 4 * stderr
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 30), depth=st.integers(1, 4), seed=st.integers(0, 2**31))
+    def test_finite_mc_mean_is_within_six_sigma_of_exact(self, n, depth, seed):
+        rng = np.random.default_rng(seed)
+        sp = FiniteSpace(tuple(range(n)))
+        R = matrix_operator(sp, rng.dirichlet(np.ones(n), size=n))
+        root = int(rng.integers(n))
+        word = CylinderFunctional(tuple(Observable.from_values(sp, rng.uniform(-1, 1, n)) for _ in range(depth)))
+        mean, stderr = sample_paths(R, root, depth, 2000, seed).functional_mean(word)
+        exact = complex(cylinder_expectation(R, root, word)).real
+        assert abs(mean - exact) <= 6 * stderr + 1e-12  # 1e-12: rounding when every path has the same value
+
     def test_mu_rooted_sampling(self, two_state):
         sp, R = two_state
         mu = invariant_measure(R)

@@ -1,12 +1,14 @@
 """Filters, cascade approximation, and the wavelet representation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from xferlab import (
     CircleSpace,
+    ConvergenceError,
     NormalizationError,
     QMFFilter,
     cascade,
@@ -14,13 +16,13 @@ from xferlab import (
     haar_filter,
     intertwining_check,
     orthogonality_defect,
-    orthogonality_from_filter,
     qmf_check,
     representation_check,
     stretched_haar,
     translate_orthogonality,
 )
-from xferlab.wavelet import SQRT2, lawton_apply, lawton_multiplicity, scaled_coeffs
+from xferlab.transferop import CERTIFICATE_C
+from xferlab.wavelet import SQRT2, _lawton_matrix, lawton_multiplicity, scaled_coeffs
 
 
 def spectral_factor_oracle():
@@ -34,6 +36,46 @@ def spectral_factor_oracle():
     # m0(z) = (1 + z)^2 (a - z) / (4 sqrt(a)), normalized so m0(1) = sqrt(2)
     poly = np.polynomial.polynomial.polymul([1, 2, 1], [a, -1])
     return np.asarray(poly, dtype=float) / (4 * math.sqrt(a))
+
+
+# a QMF filter from the paraunitary lattice whose cascade residual grows at resolution 10
+LATTICE_TAPS = [0.6501756245823669, -0.04895778975246476, 0.056931156604180556, 0.7560645709390122]
+
+
+def fraction_rank(rows) -> int:
+    """Oracle: the rank of a matrix of Fractions by exact Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def stretch_count_by_rank(k: int) -> int:
+    """Oracle: (2k + 1) - rank(T - I) over Fractions for h_0 = h_k = 1/sqrt(2): A_0 = 1, A_{+-k} = 1/2."""
+    a = {0: Fraction(1), k: Fraction(1, 2), -k: Fraction(1, 2)}
+    lags = range(-k, k + 1)
+    return 2 * k + 1 - fraction_rank([[a.get(2 * i - j, 0) - (i == j) for j in lags] for i in lags])
+
+
+def stretch_count_by_cycles(k: int) -> int:
+    """Oracle: 1 + the number of cycles of x -> 2x on Z_k minus 0 (Cohen's cycle condition, k odd)."""
+    seen, cycles = set(), 0
+    for x in range(1, k):
+        if x not in seen:
+            cycles += 1
+            while x not in seen:
+                seen.add(x)
+                x = 2 * x % k
+    return 1 + cycles
 
 
 class TestFilters:
@@ -89,11 +131,11 @@ class TestCascade:
         assert max(abs(a[k]) for k in a if k != 0) <= 1e-4
 
     def test_grid_and_filter_domain_routes_agree(self):
-        a_fixed = orthogonality_from_filter(daubechies4())
+        # the delta is Lawton's fixed point, and it is simple for D4
         sf = cascade(daubechies4(), 30, resolution=10)
         a_grid = translate_orthogonality(sf)
-        for k in a_fixed:
-            assert abs(a_fixed[k] - a_grid.get(k, 0)) < 1e-4
+        for k in range(-3, 4):
+            assert abs((k == 0) - a_grid.get(k, 0)) < 1e-4
 
     def test_stretched_haar_cascade_limit(self):
         # normalized grid fixed point is (1/2) chi_[0,2); a(1) = 1/4 by direct integration
@@ -116,9 +158,45 @@ class TestCascade:
     def test_triple_stretch_true_autocorrelation_is_lawton_fixed(self):
         # weak limit is (1/3) chi_[0,3): a(k) = (3 - |k|)/9, a genuine second fixed point
         a_true = {k: (3 - abs(k)) / 9 for k in range(-2, 3)}
-        out = lawton_apply(stretched_haar(3), a_true)
-        assert max(abs(out[k] - a_true.get(k, 0)) for k in out) < 1e-12
+        window = np.array([a_true.get(k, 0) for k in range(-3, 4)])
+        assert np.max(np.abs(_lawton_matrix(stretched_haar(3)) @ window - window)) < 1e-12
         assert orthogonality_defect(a_true) > 0.2
+
+
+class TestLawtonCount:
+    @pytest.mark.parametrize("digits", [None, 12])
+    @pytest.mark.parametrize("k, count", [(1, 1), (3, 2), (5, 2), (7, 3), (9, 3), (15, 5)])
+    def test_count_is_the_exact_rank_and_the_cycle_count(self, k, count, digits):
+        h = stretched_haar(k)  # k = 1 is Haar
+        if digits is not None:
+            h = QMFFilter.make(np.round(h.coeffs.real, digits))
+        assert lawton_multiplicity(h) == stretch_count_by_rank(k) == stretch_count_by_cycles(k) == count
+
+    def test_no_clear_gap_raises(self, monkeypatch):
+        h = daubechies4()
+        t = _lawton_matrix(h)
+        n = len(t)
+        tau = CERTIFICATE_C * n * np.finfo(float).eps * np.linalg.norm(t, 2) + n * qmf_check(h).coeff_residual
+        svd = np.linalg.svd
+
+        def blurred(a, *args, **kwargs):
+            s = svd(a, compute_uv=False)
+            s[-1] = 10 * tau  # the smallest singular value, moved into (tau, 100 tau]
+            return s
+
+        monkeypatch.setattr(np.linalg, "svd", blurred)
+        with pytest.raises(ConvergenceError, match="gap"):
+            lawton_multiplicity(h)
+
+    def test_non_qmf_filter_is_refused(self):
+        with pytest.raises(NormalizationError, match="quadrature-mirror"):
+            lawton_multiplicity(stretched_haar(2))
+
+    def test_growing_cascade_of_an_orthonormal_filter_raises(self):
+        h = QMFFilter.make(LATTICE_TAPS)
+        assert lawton_multiplicity(h) == 1
+        with pytest.raises(ConvergenceError, match="diverging"):
+            cascade(h, 12, resolution=10)
 
 
 class TestIntertwining:
