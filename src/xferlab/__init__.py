@@ -29,13 +29,11 @@ from .statespace import (
 )
 from .transferop import (
     CircleRuelleOperator,
-    IntegralKernel,
     MatrixOperator,
     TransferOperator,
     adjoint_apply,
     invariant_measure,
     kernel_operator,
-    matrix_operator,
     pullout_check,
     ruelle_from_endo,
     ruelle_from_filter,

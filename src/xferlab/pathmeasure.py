@@ -10,7 +10,8 @@ observables); everything else goes through seeded Monte Carlo ensembles.
 
 ``sample_paths`` runs the walker of its operator (``MatrixOperator.walk`` or
 ``CircleRuelleOperator.walk``).  On finite carriers that walker and
-``simulate_absorbing`` take one inverse-CDF step, defined here: from state x
+``simulate_absorbing`` take one inverse-CDF step, defined in ``transferop``
+beside ``MatrixOperator``: from state x
 with a uniform draw u in [0, 1), the next state is the number of entries of
 row x of the cumulative table below u.  The table is the row-wise cumulative
 sum of K, pinned to 1.0 from the entry where the row reaches its total on, so
@@ -40,7 +41,7 @@ from .statespace import (
     _check_same,
     _require,
 )
-from .transferop import TransferOperator, adjoint_apply, stationarity_residual
+from .transferop import TransferOperator, _cdf_table, _next_states, adjoint_apply, stationarity_residual
 
 STEP_CAP = 10**6
 
@@ -204,34 +205,9 @@ def sample_paths(
     """
     if n < 1 or count < 1:
         raise ValueError(f"depth and count must be >= 1, got depth {n} and count {count}")
-    return R.walk(root, n, count, seed)
-
-
-def _cdf_table(kernel) -> np.ndarray:
-    """Row-wise cumulative sums of a stochastic kernel, 1.0 wherever a row has reached its total."""
-    cum = np.cumsum(kernel, axis=1)
-    np.copyto(cum, 1.0, where=cum >= cum[:, -1:])
-    return cum
-
-
-def _next_states(table: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The sampling step: for each walker i, the number of entries of table[x[i]] below u[i].
-
-    Along a row the test ``entry < u`` holds on a prefix (the row is
-    nondecreasing up to its pinned 1.0 tail and u < 1), so a branchless
-    bisection finds the prefix length; indices past the row end read its 1.0.
-    """
-    n = table.shape[1]
-    flat = table.ravel()
-    base = x * n
-    end = base + (n - 1)
-    pos = np.zeros_like(x)
-    step = (1 << (n - 1).bit_length()) >> 1
-    while step:
-        cand = pos + step
-        pos = np.where(flat.take(np.minimum(base + cand - 1, end)) < u, cand, pos)
-        step >>= 1
-    return pos
+    if not isinstance(root, Measure):
+        root = R.space.point(root)
+    return PathEnsemble(R.space, root, n, R.walk(root, n, count, seed), seed, R.fingerprint())
 
 
 def simulate_absorbing(
@@ -406,7 +382,6 @@ class HarmonicReport:
 
 def harmonic_correspondence(
     R: TransferOperator,
-    mu: Measure | None,
     h: Observable,
     depth: int = 6,
     mc_start: int | None = None,

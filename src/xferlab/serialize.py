@@ -106,7 +106,7 @@ def space_from_json(d: Mapping[str, Any], at: str = "space") -> Space:
         endo = field(d, "endo", int, None, dims=1, at=at)
         return FiniteSpace(tuple(field(d, "states", list, at=at)), None if endo is None else tuple(endo))
     if kind == "circle":
-        return CircleSpace(degree=field(d, "degree", int, 64, minimum=1, at=at), grid=field(d, "grid", int, 1024, at=at))
+        return CircleSpace(degree=field(d, "degree", int, 64, minimum=1, at=at))
     raise ValueError(f"unknown space kind {kind!r}")
 
 
@@ -122,8 +122,7 @@ def observable_from_json(space: Space, d: Mapping[str, Any], at: str = "observab
     raise ValueError(f"{at} needs 'values' or 'fourier'")
 
 
-def measure_from_json(space: Space, d: Mapping[str, Any], R: TransferOperator | None = None,
-                      at: str = "measure") -> Measure:
+def measure_from_json(space: Space, d: Mapping[str, Any], R: TransferOperator, at: str = "measure") -> Measure:
     kind = field(d, "kind", str, at=at)
     if kind == "weights":
         return Measure.from_weights(space, field(d, "weights", float, dims=1, at=at))
@@ -135,8 +134,6 @@ def measure_from_json(space: Space, d: Mapping[str, Any], R: TransferOperator | 
     if kind == "haar":
         return Measure.haar_measure(space)
     if kind == "stationary":
-        if R is None:
-            raise ValueError("a stationary measure needs an operator in scope")
         return invariant_measure(R)
     raise ValueError(f"unknown measure kind {kind!r}")
 

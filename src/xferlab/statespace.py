@@ -31,7 +31,6 @@ from .errors import (
 )
 
 DEFAULT_DEGREE = 64
-DEFAULT_GRID = 1024
 
 #: Exact cylinder computations on finite carriers are capped at this depth;
 #: cost per word is linear in depth but word batteries grow combinatorially.
@@ -120,20 +119,22 @@ class FiniteSpace:
 class CircleSpace:
     """The circle under z -> z^2, with trig polynomials of degree <= degree.
 
-    ``grid`` is the default size of the uniform evaluation grid of
-    ``Observable.eval_grid`` and ``sup_norm``; neither sampling nor the
-    coefficient algebra reads it.
-    Points are exact angles t in [0, 1), standing for e^{2 pi i t}.
+    Points are exact angles t in [0, 1), standing for e^{2 pi i t}.  Two
+    circle carriers are the same carrier exactly when their degrees agree.
     """
 
     degree: int = DEFAULT_DEGREE
-    grid: int = DEFAULT_GRID
 
     max_exact_depth = math.inf
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
+
+    @property
+    def grid(self) -> int:
+        """Points of the uniform grid of ``eval_grid``, ``sup_norm`` and the weight positivity check."""
+        return max(8 * self.degree, 16)
 
     @staticmethod
     def point(v) -> Fraction:

@@ -18,7 +18,7 @@ import hashlib
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -165,12 +165,9 @@ class MatrixOperator(TransferOperator):
         h[inner] = np.linalg.solve(np.eye(len(q)) - q, k[np.ix_(inner, absorbing)] @ h[absorbing])
         return h
 
-    def walk(self, root, n: int, count: int, seed: int):
-        """The walker of ``sample_paths``: the shared bisection step, vectorised across paths."""
-        from .pathmeasure import PathEnsemble, _cdf_table, _next_states
-
-        if not isinstance(root, Measure):
-            root = self.space.point(root)
+    def walk(self, root, n: int, count: int, seed: int) -> np.ndarray:
+        """The (count, n) state indices of ``sample_paths`` from a state index or a Measure:
+        the shared bisection step, vectorised across paths."""
         table = _cdf_table(self.kernel)
         out = np.empty((count, n), dtype=np.intp)
         pos = 0
@@ -185,21 +182,46 @@ class MatrixOperator(TransferOperator):
                 x = _next_states(table, x, rng.random(size))
                 out[pos : pos + size, step] = x
             pos += size
-        return PathEnsemble(self.space, root, n, out, seed, self.fingerprint())
+        return out
+
+
+def _cdf_table(kernel) -> np.ndarray:
+    """Row-wise cumulative sums of a stochastic kernel, 1.0 wherever a row has reached its total."""
+    cum = np.cumsum(kernel, axis=1)
+    np.copyto(cum, 1.0, where=cum >= cum[:, -1:])
+    return cum
+
+
+def _next_states(table: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The sampling step: for each walker i, the number of entries of table[x[i]] below u[i].
+
+    Along a row the test ``entry < u`` holds on a prefix (the row is
+    nondecreasing up to its pinned 1.0 tail and u < 1), so a branchless
+    bisection finds the prefix length; indices past the row end read its 1.0.
+    """
+    n = table.shape[1]
+    flat = table.ravel()
+    base = x * n
+    end = base + (n - 1)
+    pos = np.zeros_like(x)
+    step = (1 << (n - 1).bit_length()) >> 1
+    while step:
+        cand = pos + step
+        pos = np.where(flat.take(np.minimum(base + cand - 1, end)) < u, cand, pos)
+        step >>= 1
+    return pos
 
 
 @dataclass(frozen=True, eq=False)
 class CircleRuelleOperator(TransferOperator):
-    """Ruelle operator for the doubling map with weight W = |m0|^2 / 2.
+    """Ruelle operator for the doubling map with weight W (W = |m0|^2 / 2 for a filter m0).
 
-    ``weight`` holds the Fourier coefficients of W; ``m0`` (optional) those of
-    the generating filter, needed for the adjoint formula.  ``apply`` and
+    ``weight`` holds the Fourier coefficients of W.  ``apply`` and
     ``adjoint_apply`` convolve with a dense copy of W; the walk reads ``weight``.
     """
 
     space: CircleSpace
     weight: dict[int, complex]
-    m0: dict[int, complex] | None = None
 
     def __post_init__(self):
         _require(self.space, CircleSpace, "a Ruelle operator with a trig-polynomial weight")
@@ -212,7 +234,7 @@ class CircleRuelleOperator(TransferOperator):
                 raise NormalizationError(f"weight violates R1=1: coefficient W_{2 * k} = {c}")
         object.__setattr__(self, "_w", dense)
         object.__setattr__(self, "_w_offset", offset)
-        grid = max(8 * self.space.degree, 16)
+        grid = self.space.grid
         vals = horner(dense, offset, np.exp(2j * np.pi * np.arange(grid) / grid))
         if np.max(np.abs(vals.imag)) > POSITIVITY_TOL or np.min(vals.real) < -POSITIVITY_TOL:
             raise NormalizationError("weight must be real and nonnegative on the grid")
@@ -242,10 +264,8 @@ class CircleRuelleOperator(TransferOperator):
         return "ruelle:" + h.hexdigest()[:16]
 
     def adjoint_apply(self, mu: Measure, psi: Observable) -> Observable:
-        """(R* psi)(x) = |m0(x)|^2 psi(r(x)) in L^2(Haar), the only measure on the circle carrier."""
-        if self.m0 is None:
-            raise ValueError("circle adjoint requires the generating filter m0")
-        prod = convolve(2 * self._w, doubled(psi.coeffs))  # |m0|^2 (psi o r)
+        """(R* psi)(x) = 2 W(x) psi(r(x)) in L^2(Haar), the only measure on the circle carrier."""
+        prod = convolve(2 * self._w, doubled(psi.coeffs))
         return Observable.from_coeffs(self.space, prod, self._w_offset + 2 * psi.offset)
 
     def invariant_measure(self) -> Measure:
@@ -278,18 +298,15 @@ class CircleRuelleOperator(TransferOperator):
         """No state absorbs: the backward walk on the circle never stops."""
         return []
 
-    def walk(self, root, n: int, count: int, seed: int):
-        """The walker of ``sample_paths``: from angle t to a square root of it, weighted by W.
+    def walk(self, t0, n: int, count: int, seed: int) -> np.ndarray:
+        """The (count, n) angles of ``sample_paths`` from t0: from t to a square root of it, weighted by W.
 
         Exact Fraction angles, one step per coordinate over the distinct angles: path i is at
         ``angles[k[i]]``, takes child 2k (u0) iff its draw is below p0 and else 2k + 1; the
         children of distinct angles are distinct, so ``np.unique`` compacts them exactly.
         """
-        from .pathmeasure import PathEnsemble
-
-        if isinstance(root, Measure):
+        if isinstance(t0, Measure):
             raise ValueError("mu-rooted sampling is not supported on the circle carrier")
-        t0 = self.space.point(root)
         branches = functools.cache(self.transition_weights)  # a walk revisits few angles
         out = np.full((count, n), t0, dtype=object)
         for ci, size in enumerate(chunk_sizes(count)):
@@ -302,11 +319,7 @@ class CircleRuelleOperator(TransferOperator):
                 child, k = np.unique(2 * k + (u[:, step] >= p0[k]), return_inverse=True)
                 angles = [split[c >> 1][c & 1][0] for c in child.tolist()]
                 rows[:, step + 1] = np.fromiter(angles, object, len(angles))[k]
-        return PathEnsemble(self.space, t0, n, out, seed, self.fingerprint())
-
-
-def matrix_operator(space: FiniteSpace, rows: Sequence[Sequence[float]]) -> MatrixOperator:
-    return MatrixOperator(space, np.asarray(rows, dtype=float))
+        return out
 
 
 def ruelle_from_endo(space: FiniteSpace) -> MatrixOperator:
@@ -335,48 +348,32 @@ def ruelle_from_filter(
         for k, b in m.items():
             acf[n - k] = acf.get(n - k, 0) + a * b.conjugate()
     weight = {n: c / 2 for n, c in acf.items() if c != 0}
-    return CircleRuelleOperator(space, weight, m0=m)
+    return CircleRuelleOperator(space, weight)
 
 
 def uniform_circle_operator(space: CircleSpace) -> CircleRuelleOperator:
     """The fiber-average operator, weight W = 1/2 (group case, N = 2)."""
-    return CircleRuelleOperator(space, {0: 0.5}, m0={0: 1.0})
+    return CircleRuelleOperator(space, {0: 0.5})
 
 
-@dataclass(frozen=True, eq=False)
-class IntegralKernel:
-    """Grid kernel K(x_i, y_j) >= 0 with quadrature measure mu on the grid."""
+def kernel_operator(space: FiniteSpace, values, mu: Measure) -> MatrixOperator:
+    """Discretize R_K f(x) = int K(x,y) f(y) dmu(y) on a grid as the stochastic matrix K(x, y) mu(y).
 
-    space: FiniteSpace
-    values: np.ndarray
-    mu: Measure
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.space.n, self.space.n):
-            raise ValueError("kernel grid must be square and match the state count")
-        if np.any(v < 0):
-            raise NormalizationError("kernel values must be nonnegative")
-        _check_same(self.space, self.mu.space)
-        rows = v @ self.mu.weights
-        if np.max(np.abs(rows - 1.0)) > 1e-10:
-            raise NormalizationError(
-                "integral of K(x, .) against mu must be 1 for every grid x"
-            )
-        object.__setattr__(self, "values", v)
-
-
-def kernel_operator(kernel: IntegralKernel) -> MatrixOperator:
-    """Discretize R_K f(x) = int K(x,y) f(y) dmu(y) as a stochastic matrix."""
-    return MatrixOperator(kernel.space, kernel.values * kernel.mu.weights[None, :])
+    ``MatrixOperator`` refuses a negative value or a row integral off 1 by more than 1e-12.
+    """
+    _check_same(space, mu.space)
+    k = np.asarray(values, dtype=float)
+    if k.shape != (space.n, space.n):  # an (n, 1) column would broadcast against mu
+        raise ValueError("kernel values must be square and match the state count")
+    return MatrixOperator(space, k * mu.weights)
 
 
 def adjoint_apply(R: TransferOperator, mu: Measure, psi: Observable) -> Observable:
     """R* in L^2(B, mu): <R phi, psi>_mu = <phi, R* psi>_mu.
 
     Finite case: (R* psi)(y) = sum_x mu(x) K[x,y] psi(x) / mu(y), requiring
-    full support.  Circle case (mu = Haar, filter-built R):
-    (R* psi)(x) = |m0(x)|^2 psi(r(x)).
+    full support.  Circle case (mu = Haar, any weight W):
+    (R* psi)(x) = 2 W(x) psi(r(x)).
     """
     _check_same(R.space, psi.space)
     _check_same(R.space, mu.space)

@@ -24,7 +24,7 @@ def _report(name: str, ok: bool) -> None:
 @pytest.fixture(scope="module")
 def two_state():
     sp = X.FiniteSpace(("a", "b"))
-    return sp, X.matrix_operator(sp, [[0.75, 0.25], [0.5, 0.5]])
+    return sp, X.MatrixOperator(sp, [[0.75, 0.25], [0.5, 0.5]])
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,7 @@ def test_criterion_05_solenoid_support(circle_haar):
 
     # negative control: a chain that ignores its (identity) endomorphism
     sp = X.FiniteSpace(("a", "b"), endo=(0, 1))
-    bad = X.matrix_operator(sp, [[0.75, 0.25], [0.5, 0.5]])
+    bad = X.MatrixOperator(sp, [[0.75, 0.25], [0.5, 0.5]])
     ok = ok and X.support_mass(bad, 0, 2) == pytest.approx(0.75, abs=1e-15)
     _report("05-solenoid-support", ok)
 

@@ -21,6 +21,7 @@ from xferlab import (
     CircleSpace,
     DegreeOverflowError,
     FiniteSpace,
+    MatrixOperator,
     Measure,
     Observable,
     QMFFilter,
@@ -33,7 +34,6 @@ from xferlab import (
     hitting_verification,
     inner_product,
     integrate,
-    matrix_operator,
     path_network,
     ruelle_from_filter,
     stationarity_residual,
@@ -90,7 +90,7 @@ def character_sweep(R: CircleRuelleOperator, mu: Measure) -> float:
     span = max(abs(n) for n in R.weight)
     basis = R.space.default_test_basis()
     if span > R.space.degree:
-        R = CircleRuelleOperator(CircleSpace(degree=span), R.weight, R.m0)
+        R = CircleRuelleOperator(CircleSpace(degree=span), R.weight)
         mu = Measure.haar_measure(R.space)
         basis = [Observable.character(R.space, phi.offset) for phi in basis]
     res = 0.0
@@ -310,11 +310,11 @@ def test_translates_are_the_pointwise_loop():
 
 def test_a_single_absorbing_walk_has_standard_error_zero():
     space = FiniteSpace(("0", "1", "2"))
-    R = matrix_operator(space, [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    R = MatrixOperator(space, [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
     h = Observable.from_values(space, [0.0, 0.5, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = harmonic_correspondence(R, None, h, mc_start=1, mc_count=1, seed=5)
+        rep = harmonic_correspondence(R, h, mc_start=1, mc_count=1, seed=5)
         hit = hitting_verification(path_network([1.0, 1.0]), {0: 0.0, 2: 1.0}, start=1, count=1, seed=5)
     assert rep.mc_stderr == hit.stderr == 0.0
     assert rep.mc_estimate == hit.estimate in (0.0, 1.0)

@@ -153,7 +153,7 @@ class TestAbsorptionSolve:
             return
         h = harmonic_solve(net, values)
         assert np.max(np.abs(h.values - np.array(exact, dtype=float))) <= 1e-12
-        assert harmonic_correspondence(transition_operator(net), None, h).boundary_residual <= 1e-12
+        assert harmonic_correspondence(transition_operator(net), h).boundary_residual <= 1e-12
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.1, 2), min_size=4, max_size=4), st.floats(-2, 2))
@@ -166,7 +166,7 @@ class TestAbsorptionSolve:
         with pytest.raises(ValueError, match=r"states \[2, 3, 4\] never reach"):
             harmonic_solve(net, {0: value})
         with pytest.raises(ValueError, match=r"states \[2, 3, 4\] never reach"):
-            harmonic_correspondence(transition_operator(net), None, Observable.constant(net.space, value))
+            harmonic_correspondence(transition_operator(net), Observable.constant(net.space, value))
 
 
 class TestHitting:

@@ -20,6 +20,7 @@ from xferlab import (
     CylinderFunctional,
     EnsembleRequiredError,
     FiniteSpace,
+    MatrixOperator,
     Measure,
     NotHarmonicError,
     Observable,
@@ -35,7 +36,6 @@ from xferlab import (
     invariant_measure,
     marginal_distribution,
     marginal_distribution_mc,
-    matrix_operator,
     multiplier_identity_residual,
     ruelle_from_filter,
     sample_paths,
@@ -69,12 +69,12 @@ def enumerate_expectation(kernel, x, word_values):
 @pytest.fixture
 def two_state():
     sp = FiniteSpace(("a", "b"))
-    return sp, matrix_operator(sp, [[0.75, 0.25], [0.5, 0.5]])
+    return sp, MatrixOperator(sp, [[0.75, 0.25], [0.5, 0.5]])
 
 
 @pytest.fixture
 def circle_R():
-    space = CircleSpace(degree=32, grid=256)
+    space = CircleSpace(degree=32)
     return space, ruelle_from_filter(space, HAAR_M0)
 
 
@@ -157,7 +157,7 @@ class TestSampling:
     def test_finite_mc_mean_is_within_six_sigma_of_exact(self, n, depth, seed):
         rng = np.random.default_rng(seed)
         sp = FiniteSpace(tuple(range(n)))
-        R = matrix_operator(sp, rng.dirichlet(np.ones(n), size=n))
+        R = MatrixOperator(sp, rng.dirichlet(np.ones(n), size=n))
         root = int(rng.integers(n))
         word = CylinderFunctional(tuple(Observable.from_values(sp, rng.uniform(-1, 1, n)) for _ in range(depth)))
         mean, stderr = sample_paths(R, root, depth, 2000, seed).functional_mean(word)
@@ -222,7 +222,7 @@ def carrier(request, two_state, circle_R):
     """(space, operator, root, a second operator on the same space) on each carrier."""
     if request.param == "finite":
         sp, R = two_state
-        return sp, R, 1, matrix_operator(sp, [[0.5, 0.5], [0.5, 0.5]])
+        return sp, R, 1, MatrixOperator(sp, [[0.5, 0.5], [0.5, 0.5]])
     space, R = circle_R
     return space, R, Fraction(2, 7), ruelle_from_filter(space, daubechies4().m0_coeffs())
 
@@ -363,25 +363,25 @@ class TestHarmonicCorrespondence:
     @pytest.fixture
     def gambler(self):
         sp = FiniteSpace(("lose", "mid", "win"))
-        R = matrix_operator(sp, [[1, 0, 0], [0.5, 0, 0.5], [0, 0, 1]])
+        R = MatrixOperator(sp, [[1, 0, 0], [0.5, 0, 0.5], [0, 0, 1]])
         h = Observable.from_values(sp, [0.0, 0.5, 1.0])
         return sp, R, h
 
     def test_martingale_property(self, gambler):
         sp, R, h = gambler
-        rep = harmonic_correspondence(R, None, h, depth=8)
+        rep = harmonic_correspondence(R, h, depth=8)
         assert rep.harmonic_residual < 1e-12
         assert max(rep.martingale_residuals) < 1e-12
 
     def test_boundary_values_recover_h(self, gambler):
         sp, R, h = gambler
-        rep = harmonic_correspondence(R, None, h)
+        rep = harmonic_correspondence(R, h)
         assert rep.absorbing_states == [0, 2]
         assert rep.boundary_residual < 1e-12
 
     def test_mc_absorption(self, gambler):
         sp, R, h = gambler
-        rep = harmonic_correspondence(R, None, h, mc_start=1, mc_count=50_000, seed=2)
+        rep = harmonic_correspondence(R, h, mc_start=1, mc_count=50_000, seed=2)
         assert rep.mc_capped == 0
         assert abs(rep.mc_estimate - 0.5) < 4 * rep.mc_stderr
 
@@ -389,14 +389,14 @@ class TestHarmonicCorrespondence:
         sp, R, _ = gambler
         bad = Observable.from_values(sp, [0.0, 0.7, 1.0])
         with pytest.raises(NotHarmonicError):
-            harmonic_correspondence(R, None, bad)
+            harmonic_correspondence(R, bad)
 
     @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 0, 1], [0, 1, 0]],  # I - Q singular
                                       [[1, 0, 0], [0, 1 / 3, 2 / 3], [0, 2 / 3, 1 / 3]]])  # singular up to rounding
     def test_states_that_never_absorb_are_named(self, rows):
         sp = FiniteSpace(("a", "b", "c"))
         with pytest.raises(ValueError, match=r"states \[1, 2\] never reach"):
-            harmonic_correspondence(matrix_operator(sp, rows), None, Observable.constant(sp, 1.0))
+            harmonic_correspondence(MatrixOperator(sp, rows), Observable.constant(sp, 1.0))
 
 
 @st.composite
@@ -429,3 +429,35 @@ def test_circle_walk_mean_matches_the_cylinder_expectation(d4, root, word, seed)
     exact = cylinder_expectation(R, root, f).real
     var = max(cylinder_expectation(R, root, f * f).real - exact**2, 0.0)
     assert abs(mean - exact) <= 6 * math.sqrt(var / n) + 1e-12 * (1 + abs(exact))
+
+
+D4_CIRCLE = ruelle_from_filter(CircleSpace(), daubechies4().m0_coeffs())
+
+
+@st.composite
+def chunk_experiments(draw):
+    """A random finite kernel rooted at a state or at a measure, or D4 rooted at a p/q angle."""
+    kind = draw(st.sampled_from(["point", "mu", "d4"]))
+    if kind == "d4":
+        q = draw(st.sampled_from([1, 3, 7, 2**31 - 1]))
+        return D4_CIRCLE, Fraction(draw(st.integers(0, q - 1)), q)
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sp = FiniteSpace(tuple(range(n)))
+    R = MatrixOperator(sp, rng.dirichlet(np.ones(n), size=n))
+    if kind == "point":
+        return R, draw(st.integers(0, n - 1))
+    return R, Measure.from_weights(sp, rng.dirichlet(np.ones(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(experiment=chunk_experiments(), k=st.sampled_from([1, 2]), r=st.integers(1, CHUNK - 1),
+       depth=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_a_longer_run_starts_with_the_shorter_run_and_merges_onto_it(experiment, k, r, depth, seed):
+    R, root = experiment
+    short = sample_paths(R, root, depth, k * CHUNK, seed)
+    long = sample_paths(R, root, depth, k * CHUNK + r, seed)
+    assert np.array_equal(long.samples[: k * CHUNK], short.samples)
+    merged = short.merge(long)
+    assert merged.samples.shape == (2 * k * CHUNK + r, depth)
+    assert np.array_equal(merged.samples, np.concatenate([short.samples, long.samples]))

@@ -24,12 +24,12 @@ from xferlab import (
     CircleSpace,
     ConvergenceError,
     FiniteSpace,
+    MatrixOperator,
     Measure,
     ReducibleChainWarning,
     daubechies4,
     haar_filter,
     invariant_measure,
-    matrix_operator,
     ruelle_from_filter,
     sample_paths,
 )
@@ -64,7 +64,7 @@ def ruin_kernel(n: int, p: float = 0.45) -> np.ndarray:
 
 def samples_digest(n, root, depth, count, seed) -> str:
     space = FiniteSpace(tuple(range(n)))
-    R = matrix_operator(space, formula_kernel(n))
+    R = MatrixOperator(space, formula_kernel(n))
     if root == "mu":
         w = np.arange(1.0, n + 1.0)
         root = Measure.from_weights(space, w / w.sum())
@@ -188,7 +188,7 @@ class TestSamplingStep:
         x = np.zeros(2, dtype=np.intp)
         assert np.array_equal(_count_step(np.cumsum(k, axis=1), x, u), [3, 3])
         assert np.array_equal(_next_states(_cdf_table(k), x, u), [2, 2])
-        R = matrix_operator(FiniteSpace(("a", "b", "c")), k)
+        R = MatrixOperator(FiniteSpace(("a", "b", "c")), k)
         assert np.asarray(sample_paths(R, 0, 4, 500, 1).samples).max() == 2
 
     def test_single_state(self):
@@ -299,7 +299,7 @@ def chain_kernels(draw):
 class TestInvariantMeasure:
     @pytest.mark.parametrize("n", [5, 65, 101])
     def test_reducible_chain_warns_at_every_size(self, n):
-        R = matrix_operator(FiniteSpace(tuple(range(n))), reducible_kernel(n))
+        R = MatrixOperator(FiniteSpace(tuple(range(n))), reducible_kernel(n))
         with pytest.warns(ReducibleChainWarning):
             mu = invariant_measure(R)
         assert np.max(np.abs(mu.weights @ R.kernel - mu.weights)) <= 1e-12
@@ -309,14 +309,14 @@ class TestInvariantMeasure:
         k = reducible_kernel(n)
         k[(n - 1) // 2 - 1] = 0.0  # the first class now drains into the second
         k[(n - 1) // 2 - 1, (n - 1) // 2] = 1.0
-        R = matrix_operator(FiniteSpace(tuple(range(n))), k)
+        R = MatrixOperator(FiniteSpace(tuple(range(n))), k)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ReducibleChainWarning)
             invariant_measure(R)
 
     def test_periodic_chain_certifies_or_raises(self):
         K = bipartite_kernel()
-        R = matrix_operator(FiniteSpace(tuple(range(100))), K)
+        R = MatrixOperator(FiniteSpace(tuple(range(100))), K)
         t0 = time.perf_counter()
         try:
             mu = invariant_measure(R)
@@ -329,20 +329,20 @@ class TestInvariantMeasure:
     def test_certificate_failure_raises(self, monkeypatch):
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-6))
-        R = matrix_operator(FiniteSpace(tuple(range(100))), bipartite_kernel())
+        R = MatrixOperator(FiniteSpace(tuple(range(100))), bipartite_kernel())
         with pytest.raises(ConvergenceError, match="certificate"):
             invariant_measure(R)
 
     def test_singular_bordered_system_raises(self):
         # irreducible on its support, but 1 - 1e-18 rounds to 1: rows 0 and 1 of the system coincide
         k = np.array([[1.0, 0.0, 1e-18], [0.0, 1.0, 1e-18], [0.5, 0.5, 0.0]])
-        R = matrix_operator(FiniteSpace(("a", "b", "c")), k)
+        R = MatrixOperator(FiniteSpace(("a", "b", "c")), k)
         with pytest.raises(ConvergenceError, match="singular"):
             invariant_measure(R)
 
     def test_slow_lazy_cycle_matches_the_closed_form(self):
         n = 400
-        R = matrix_operator(FiniteSpace(tuple(range(n))), lazy_cycle_kernel(n))
+        R = MatrixOperator(FiniteSpace(tuple(range(n))), lazy_cycle_kernel(n))
         t0 = time.perf_counter()
         mu = invariant_measure(R)
         assert time.perf_counter() - t0 < 1.0
@@ -354,7 +354,7 @@ class TestInvariantMeasure:
     def test_rows_off_by_the_unitality_tolerance_are_certified(self, n):
         k = np.random.default_rng(n).uniform(0.0, 1.0, (n, n))
         k = k / k.sum(axis=1, keepdims=True) * (1 + 9e-13)
-        R = matrix_operator(FiniteSpace(tuple(range(n))), k)
+        R = MatrixOperator(FiniteSpace(tuple(range(n))), k)
         mu = invariant_measure(R)
         assert R.stationarity_residual(mu) <= certificate_bound(k)
 
@@ -363,7 +363,7 @@ class TestInvariantMeasure:
     def test_solve_warns_certifies_and_matches_the_oracles(self, k):
         n = len(k)
         classes = sorted(closed_classes_by_closure(k), key=min)
-        R = matrix_operator(FiniteSpace(tuple(range(n))), k)
+        R = MatrixOperator(FiniteSpace(tuple(range(n))), k)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             mu = invariant_measure(R)
@@ -383,7 +383,7 @@ class TestInvariantMeasure:
 @given(chain_kernels(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_stationarity_residual_matches_the_indicator_sweep(k, stationary, seed):
     n = len(k)
-    R = matrix_operator(FiniteSpace(tuple(range(n))), k)
+    R = MatrixOperator(FiniteSpace(tuple(range(n))), k)
     if stationary:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ReducibleChainWarning)
@@ -396,7 +396,7 @@ def test_stationarity_residual_matches_the_indicator_sweep(k, stationary, seed):
 
 def ruin_operator(n: int = 3):
     space = FiniteSpace(tuple(range(n)))
-    return matrix_operator(space, ruin_kernel(n, 0.5)), Observable.from_values(space, np.linspace(0.0, 1.0, n))
+    return MatrixOperator(space, ruin_kernel(n, 0.5)), Observable.from_values(space, np.linspace(0.0, 1.0, n))
 
 
 @pytest.mark.parametrize("start", [-2, 3])
@@ -406,7 +406,7 @@ def test_absorbing_walks_refuse_a_start_outside_the_states(entry, start):
     calls = {
         "simulate_absorbing": lambda: simulate_absorbing(R.kernel, np.array([True, False, True]), start, 5, 1),
         "hitting_verification": lambda: hitting_verification(path_network([1.0, 1.0]), {0: 0.0, 2: 1.0}, start, 5, 1),
-        "harmonic_correspondence": lambda: harmonic_correspondence(R, None, h, mc_start=start, mc_count=5),
+        "harmonic_correspondence": lambda: harmonic_correspondence(R, h, mc_start=start, mc_count=5),
     }
     with pytest.raises(ValueError, match="start"):
         calls[entry]()
@@ -428,7 +428,7 @@ def test_walks_refuse_a_count_below_one(entry):
 
 def test_harmonic_correspondence_skips_monte_carlo_at_count_zero():
     R, h = ruin_operator()
-    rep = harmonic_correspondence(R, None, h, mc_start=1, mc_count=0)
+    rep = harmonic_correspondence(R, h, mc_start=1, mc_count=0)
     assert (rep.mc_estimate, rep.mc_stderr, rep.mc_capped) == (None, None, 0)
     assert rep.boundary_residual is not None
 

@@ -14,6 +14,7 @@ from xferlab import (
     CircleSpace,
     CylinderFunctional,
     FiniteSpace,
+    MatrixOperator,
     Measure,
     Observable,
     SmaleWilliamsState,
@@ -23,7 +24,6 @@ from xferlab import (
     group_translation_invariance,
     invariant_measure,
     lift_conditional_residual,
-    matrix_operator,
     rhat,
     ruelle_from_endo,
     ruelle_from_filter,
@@ -47,7 +47,7 @@ HAAR_M0 = {0: 2**-0.5, 1: 2**-0.5}
 
 @pytest.fixture
 def circle():
-    return CircleSpace(degree=32, grid=256)
+    return CircleSpace(degree=32)
 
 
 @pytest.fixture
@@ -81,14 +81,14 @@ class TestSupport:
 
     def test_mass_is_monotone_in_depth(self):
         sp = FiniteSpace(("a", "b"), endo=(0, 1))
-        R = matrix_operator(sp, [[0.75, 0.25], [0.5, 0.5]])
+        R = MatrixOperator(sp, [[0.75, 0.25], [0.5, 0.5]])
         masses = [support_mass(R, 0, n) for n in range(1, 6)]
         assert all(a >= b for a, b in zip(masses, masses[1:]))
 
     def test_negative_control_mass(self):
         # identity endomorphism but off-diagonal transitions: pullout fails
         sp = FiniteSpace(("a", "b"), endo=(0, 1))
-        R = matrix_operator(sp, [[0.75, 0.25], [0.5, 0.5]])
+        R = MatrixOperator(sp, [[0.75, 0.25], [0.5, 0.5]])
         assert support_mass(R, 0, 2) == pytest.approx(0.75, abs=1e-15)
 
     def test_sampled_paths_never_violate_compatibility(self, circle_R):
@@ -194,7 +194,7 @@ class TestShiftInvariance:
     @pytest.fixture
     def two_state(self):
         sp = FiniteSpace(("a", "b"))
-        return sp, matrix_operator(sp, [[0.75, 0.25], [0.5, 0.5]])
+        return sp, MatrixOperator(sp, [[0.75, 0.25], [0.5, 0.5]])
 
     def test_stationary_measure_gives_invariance(self, two_state):
         sp, R = two_state

@@ -24,6 +24,7 @@ from xferlab import (
     ruelle_from_filter,
     strong_invariance_check,
 )
+from xferlab.serialize import space_from_json
 from xferlab.statespace import angle_point
 
 
@@ -38,7 +39,7 @@ def convolve_coeffs(a, b) -> dict[int, complex]:
 
 @pytest.fixture
 def circle():
-    return CircleSpace(degree=16, grid=128)
+    return CircleSpace(degree=16)
 
 
 @pytest.fixture
@@ -108,6 +109,13 @@ class TestObservableAlgebra:
     def test_exact_rational_angle_evaluation(self, circle):
         e1 = Observable.character(circle, 1)
         assert e1(Fraction(1, 4)) == pytest.approx(1j)
+
+    def test_circle_carriers_of_one_degree_are_one_carrier(self):
+        # a config's "space.grid" is not read: the grid derives from the degree
+        loaded = space_from_json({"kind": "circle", "degree": 8, "grid": 64})
+        assert loaded == CircleSpace(degree=8) and loaded.grid == 64
+        prod = Observable.character(CircleSpace(degree=8), 3) * Observable.character(loaded, -5)
+        assert prod.fourier == {-2: 1.0}
 
     def test_circle_points_are_exact_angles(self):
         assert CircleSpace.point(Fraction(5, 4)) == CircleSpace.point("1/4") == Fraction(1, 4)
@@ -280,7 +288,7 @@ class TestDenseLayout:
         a = {n: c for n, c in a.items() if abs(n) <= d}
         b = {n: c for n, c in b.items() if abs(n) <= d}
         f, g = Observable.from_fourier(sp, a), Observable.from_fourier(sp, b)
-        R = CircleRuelleOperator(sp, w, m0={0: 1.0})
+        R = CircleRuelleOperator(sp, w)
         cases = [
             (lambda: f * g, convolve_coeffs(a, b)),
             (lambda: R.apply(g), ruelle_oracle(w, b)),
@@ -304,7 +312,7 @@ class TestDenseLayout:
     def test_zero_ends_beyond_the_degree_do_not_overflow(self):
         sp = CircleSpace(degree=2)
         # W * phi spans -6..6; its even entries at +-6 and +-4 are exact zeros
-        R = CircleRuelleOperator(sp, {0: 0.5, 5: 0.25, -5: 0.25}, m0={0: 1.0})
+        R = CircleRuelleOperator(sp, {0: 0.5, 5: 0.25, -5: 0.25})
         out = R.apply(Observable.from_fourier(sp, {-2: -1.0, 0: -1.0, 2: -1.0}))
         assert out.fourier == {-1: -1.0, 0: -1.0, 1: -1.0}
         assert Observable.from_coeffs(sp, np.array([0, 1, 0, 0, 0]), -2).fourier == {-1: 1.0}
@@ -313,14 +321,14 @@ class TestDenseLayout:
             Observable.from_coeffs(sp, np.array([0, 1, 0, 1]), 0)
 
     def test_evaluation_is_horner_over_the_coefficients(self):
-        sp = CircleSpace(degree=300, grid=64)
+        sp = CircleSpace(degree=300)
         rng = np.random.default_rng(5)
         a = {n: complex(*rng.standard_normal(2)) for n in range(-300, 301, 7)}
         f = Observable.from_fourier(sp, a)
         theta = np.arange(64) / 64
         direct = sum(c * np.exp(2j * np.pi * n * theta) for n, c in a.items())
         l1 = sum(abs(c) for c in a.values())
-        assert np.max(np.abs(f.eval_grid() - direct)) <= 1e-12 * l1
+        assert np.max(np.abs(f.eval_grid(64) - direct)) <= 1e-12 * l1
         assert abs(f(Fraction(3, 64)) - direct[3]) <= 1e-12 * l1
         assert abs(f(complex(np.exp(2j * np.pi * 3 / 64))) - direct[3]) <= 1e-12 * l1
-        assert f.sup_norm() == pytest.approx(np.max(np.abs(direct)), rel=1e-12)
+        assert f.sup_norm(64) == pytest.approx(np.max(np.abs(direct)), rel=1e-12)

@@ -7,6 +7,7 @@ from fractions import Fraction
 from xferlab import (
     CircleSpace,
     FiniteSpace,
+    MatrixOperator,
     Measure,
     NormalizationError,
     Observable,
@@ -15,39 +16,38 @@ from xferlab import (
     inner_product,
     invariant_measure,
     kernel_operator,
-    matrix_operator,
     pullout_check,
     ruelle_from_endo,
     ruelle_from_filter,
     stationarity_residual,
     uniform_circle_operator,
 )
-from xferlab.transferop import IntegralKernel, composition_isometry_residual
+from xferlab.transferop import CircleRuelleOperator, composition_isometry_residual
 
 HAAR_M0 = {0: 2**-0.5, 1: 2**-0.5}
 
 
 @pytest.fixture
 def circle():
-    return CircleSpace(degree=32, grid=256)
+    return CircleSpace(degree=32)
 
 
 @pytest.fixture
 def two_state():
     sp = FiniteSpace(("a", "b"))
-    return sp, matrix_operator(sp, [[0.75, 0.25], [0.5, 0.5]])
+    return sp, MatrixOperator(sp, [[0.75, 0.25], [0.5, 0.5]])
 
 
 class TestMatrixOperator:
     def test_rows_must_be_stochastic(self):
         sp = FiniteSpace(("a", "b"))
         with pytest.raises(NormalizationError):
-            matrix_operator(sp, [[0.7, 0.2], [0.5, 0.5]])
+            MatrixOperator(sp, [[0.7, 0.2], [0.5, 0.5]])
 
     def test_negative_entries_rejected(self):
         sp = FiniteSpace(("a", "b"))
         with pytest.raises(NormalizationError):
-            matrix_operator(sp, [[1.5, -0.5], [0.5, 0.5]])
+            MatrixOperator(sp, [[1.5, -0.5], [0.5, 0.5]])
 
     def test_unital(self, two_state):
         sp, R = two_state
@@ -72,7 +72,7 @@ class TestMatrixOperator:
 
     def test_reducible_chain_warns(self):
         sp = FiniteSpace(("a", "b"))
-        R = matrix_operator(sp, [[1.0, 0.0], [0.0, 1.0]])
+        R = MatrixOperator(sp, [[1.0, 0.0], [0.0, 1.0]])
         with pytest.warns(ReducibleChainWarning):
             invariant_measure(R)
 
@@ -107,8 +107,6 @@ class TestCircleRuelleOperator:
             ruelle_from_filter(circle, {0: 1.0, 1: 1.0})  # sums to 2, not sqrt(2)
 
     def test_zero_weight_rejected(self, circle):
-        from xferlab.transferop import CircleRuelleOperator
-
         # no even coefficient is nonzero, but W_0 = 0 gives R1 = 0
         for weight in ({}, {0: 0.0, 2: 0.0}):
             with pytest.raises(NormalizationError, match="W_0"):
@@ -117,8 +115,6 @@ class TestCircleRuelleOperator:
             ruelle_from_filter(circle, {0: 0.0})
 
     def test_negative_weight_rejected(self, circle):
-        from xferlab.transferop import CircleRuelleOperator
-
         # W = 1/2 + cos(2 pi t) dips below zero but R1 = 1 still holds
         with pytest.raises(NormalizationError):
             CircleRuelleOperator(circle, {0: 0.5, 1: 0.5, -1: 0.5})
@@ -128,13 +124,15 @@ class TestCircleRuelleOperator:
         assert pullout_check(R) < 1e-12
 
     def test_adjoint_is_the_l2_adjoint(self, circle):
-        R = ruelle_from_filter(circle, HAAR_M0)
         mu = Measure.haar_measure(circle)
-        f = Observable.from_fourier(circle, {0: 1.0, 2: 1j})
-        g = Observable.from_fourier(circle, {1: 2.0, -1: 0.5})
-        lhs = inner_product(mu, R.apply(f), g)
-        rhs = inner_product(mu, f, adjoint_apply(R, mu, g))
-        assert abs(lhs - rhs) < 1e-12
+        f = Observable.from_fourier(circle, {0: 1.0, 2: 1j, -3: 0.25})
+        g = Observable.from_fourier(circle, {1: 2.0, -1: 0.5, 4: -1j})
+        # R* psi = 2 W (psi o r) for every weight W, also one that no filter was given for
+        for R in (ruelle_from_filter(circle, HAAR_M0),
+                  CircleRuelleOperator(circle, {0: 0.5, 1: 0.2, -1: 0.2, 3: 0.05, -3: 0.05})):
+            lhs = inner_product(mu, R.apply(f), g)
+            rhs = inner_product(mu, f, adjoint_apply(R, mu, g))
+            assert abs(lhs - rhs) < 1e-12
 
     def test_haar_invariant_only_for_uniform_weight(self, circle):
         assert invariant_measure(uniform_circle_operator(circle)).haar
@@ -175,11 +173,20 @@ class TestIntegralKernel:
         sp = FiniteSpace(("a", "b"))
         mu = Measure.uniform(sp)
         with pytest.raises(NormalizationError):
-            IntegralKernel(sp, np.array([[1.0, 0.5], [1.0, 1.0]]), mu)
+            kernel_operator(sp, np.array([[1.0, 0.5], [1.0, 1.0]]), mu)
+        # one tolerance for R1 = 1: a row integral 5e-11 off is refused like a row sum
+        with pytest.raises(NormalizationError):
+            kernel_operator(sp, np.array([[1.0, 1.0 + 1e-10], [1.0, 1.0]]), mu)
+
+    def test_kernel_values_must_be_square(self):
+        sp = FiniteSpace(("a", "b"))
+        for values in (np.ones((2, 1)), np.ones(2), [[1.0, 1.0]]):
+            with pytest.raises(ValueError, match="square"):
+                kernel_operator(sp, values, Measure.uniform(sp))
 
     def test_kernel_operator_is_stochastic(self):
         sp = FiniteSpace(("a", "b", "c"))
         mu = Measure.from_weights(sp, [0.5, 0.25, 0.25])
         vals = np.array([[1.0, 1.0, 1.0], [0.5, 1.5, 1.5], [2.0, 0.0, 0.0]])
-        R = kernel_operator(IntegralKernel(sp, vals, mu))
+        R = kernel_operator(sp, vals, mu)
         assert np.allclose(R.kernel.sum(axis=1), 1.0)
