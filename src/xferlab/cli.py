@@ -163,7 +163,8 @@ def run_cascade(cfg):
     report, claims = {}, []
     try:
         sf = wavelet.cascade(h, iterations=iterations, resolution=resolution, allow_non_qmf=allow_non_qmf)
-    except ConvergenceError:  # the residual grew three times in a row: a failing claim, not a bad config
+    except ConvergenceError as exc:  # three growing residuals: a failing claim, not a bad config
+        report["refinement_residuals"] = exc.residuals
         claims.append(_claim("cascade_converging", 1.0, 0.0))
     else:
         a_grid = wavelet.translate_orthogonality(sf)
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
         "claims": jsonify(claims),
         "pass": all(c["pass"] for c in claims),
     }
-    text = json.dumps(report, indent=2, sort_keys=False)
+    text = json.dumps(report, indent=2, allow_nan=False)
     try:
         if args.output:
             with open(args.output, "w") as fh:

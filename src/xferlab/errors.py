@@ -34,7 +34,11 @@ class NormalizationError(XferlabError, ValueError):
 
 
 class ConvergenceError(XferlabError):
-    """A solver could not certify its result."""
+    """A solver could not certify its result; ``residuals`` holds an iteration's residuals, if any."""
+
+    def __init__(self, message, residuals=()):
+        super().__init__(message)
+        self.residuals = list(residuals)
 
 
 class ReducibleChainWarning(UserWarning):

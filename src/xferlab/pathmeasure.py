@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnsembleRequiredError, NotHarmonicError, CarrierMismatchError
-from .rng import chunk_sizes, chunk_stream
+from .rng import chunks
 from .statespace import (
     MAX_EXACT_DEPTH,  # noqa: F401  (re-exported: the cap of FiniteSpace.max_exact_depth)
     FiniteSpace,
@@ -94,17 +94,8 @@ class CylinderFunctional:
         return out
 
 
-def as_word(f) -> CylinderFunctional:
-    if isinstance(f, CylinderFunctional):
-        return f
-    if isinstance(f, Observable):
-        return CylinderFunctional((f,))
-    return CylinderFunctional(tuple(f))
-
-
 def conditional_expectation(R: TransferOperator, f) -> Observable:
     """E_bullet(f): x -> E_x(f) = phi_1 R(phi_2 R(... R(phi_n) ...))."""
-    f = as_word(f)
     _check_same(R.space, f.space)
     if f.depth > R.space.max_exact_depth:
         raise ValueError(f"exact cylinder depth is capped at {R.space.max_exact_depth}")
@@ -127,10 +118,7 @@ def sigma_expectation(mu: Measure, R: TransferOperator, f):
 
 def consistency_residual(R: TransferOperator, x, f) -> float:
     """|E_x(f) - E_x(f with constant 1 appended)|: Kolmogorov consistency."""
-    f = as_word(f)
-    one = Observable.constant(f.space, 1.0)
-    g = CylinderFunctional(f.word + (one,))
-    return abs(cylinder_expectation(R, x, f) - cylinder_expectation(R, x, g))
+    return abs(cylinder_expectation(R, x, f) - cylinder_expectation(R, x, f.padded_to(f.depth + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +135,8 @@ class PathEnsemble:
     """
 
     space: object
-    root: object  # state index, Fraction angle, or a Measure for mu-rooted
     depth: int
     samples: np.ndarray
-    seed: int
     fingerprint: str
 
     @property
@@ -158,26 +144,26 @@ class PathEnsemble:
         return len(self.samples)
 
     def functional_mean(self, f) -> tuple[float, float]:
-        """Monte Carlo mean and standard error of a cylinder word or callable.
+        """Monte Carlo mean and standard error of a cylinder word or a black-box path function.
 
-        A word is evaluated one coordinate at a time across all paths.
+        A word is evaluated one coordinate at a time across all paths; a
+        callable is called once per path and must return a scalar.
         """
-        if isinstance(f, (CylinderFunctional, Observable)):
-            f = as_word(f)
+        if isinstance(f, CylinderFunctional):
             if f.depth > self.depth:
                 raise ValueError(f"a word of depth {f.depth} needs paths of at least that depth")
             vals = np.ones(self.count, dtype=complex)
             for j, phi in enumerate(f.word):
                 vals *= phi(self.samples[:, j])
         else:
-            vals = np.array([f(p) for p in self.samples], dtype=complex)
+            vals = np.fromiter((f(p) for p in self.samples), complex, self.count)
         return mean_stderr(vals.real)
 
     def merge(self, other: "PathEnsemble") -> "PathEnsemble":
         if (self.fingerprint, self.depth) != (other.fingerprint, other.depth):
             raise CarrierMismatchError("can only merge ensembles of the same experiment")
         samples = np.vstack([self.samples, other.samples])
-        return PathEnsemble(self.space, self.root, self.depth, samples, self.seed, self.fingerprint)
+        return PathEnsemble(self.space, self.depth, samples, self.fingerprint)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -207,7 +193,7 @@ def sample_paths(
         raise ValueError(f"depth and count must be >= 1, got depth {n} and count {count}")
     if not isinstance(root, Measure):
         root = R.space.point(root)
-    return PathEnsemble(R.space, root, n, R.walk(root, n, count, seed), seed, R.fingerprint())
+    return PathEnsemble(R.space, n, R.walk(root, n, count, seed), R.fingerprint())
 
 
 def simulate_absorbing(
@@ -228,10 +214,8 @@ def simulate_absorbing(
     table = _cdf_table(kernel)
     finals = np.empty(count, dtype=np.intp)
     capped = 0
-    pos = 0
-    for ci, size in enumerate(chunk_sizes(count)):
-        rng = chunk_stream(seed, ci)
-        x = np.full(size, int(start), dtype=np.intp)
+    for rows, rng in chunks(count, seed):
+        x = np.full(rows.stop - rows.start, int(start), dtype=np.intp)
         active = ~absorbing[x]
         steps = 0
         while np.any(active) and steps < step_cap:
@@ -240,8 +224,7 @@ def simulate_absorbing(
             active[idx] = ~absorbing[x[idx]]
             steps += 1
         capped += int(np.count_nonzero(active))
-        finals[pos : pos + size] = x
-        pos += size
+        finals[rows] = x
     return finals, capped
 
 
@@ -255,7 +238,7 @@ def v1_star(R: TransferOperator, f, x=None):
     Exact for cylinder words; a black-box path function needs an ensemble
     (use PathEnsemble.functional_mean).
     """
-    if callable(f) and not isinstance(f, (CylinderFunctional, Observable)):
+    if callable(f) and not isinstance(f, CylinderFunctional):
         raise EnsembleRequiredError(
             "black-box path functions require sampled paths; use PathEnsemble.functional_mean"
         )
@@ -272,7 +255,6 @@ def q1_project(R: TransferOperator, mu: Measure | None, f) -> Observable:
 
 def v2_star(R: TransferOperator, mu: Measure, f) -> Observable:
     """V2* on a cylinder word: R*(phi_1) phi_2 R(phi_3 ... R(phi_n) ...)."""
-    f = as_word(f)
     _check_same(R.space, f.space)
     head = adjoint_apply(R, mu, f.word[0])
     if f.depth == 1:
@@ -291,7 +273,6 @@ def multiplier_identity_residual(
         rho = adjoint_apply(R, mu, Observable.constant(R.space, 1.0))
     res = 0.0
     for f in words:
-        f = as_word(f)
         lhs = v2_star(R, mu, f.shifted())
         rhs = rho * conditional_expectation(R, f)
         res = max(res, (lhs - rhs).coeff_norm())
@@ -307,7 +288,6 @@ def characterization_check(mu: Measure, R: TransferOperator, words=None, seed: i
         words = default_word_battery(R.space, seed=seed)
     res = 0.0
     for f in words:
-        f = as_word(f)
         lhs = conditional_expectation(R, f.shifted())
         rhs = R.apply(conditional_expectation(R, f))
         res = max(res, (lhs - rhs).coeff_norm())

@@ -18,8 +18,7 @@ def chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def chunk_sizes(count: int) -> list[int]:
-    sizes = [CHUNK] * (count // CHUNK)
-    if count % CHUNK:
-        sizes.append(count % CHUNK)
-    return sizes
+def chunks(count: int, seed: int):
+    """One (rows slice, chunk_stream(seed, i)) pair per chunk of a count-sample run."""
+    for i, start in enumerate(range(0, count, CHUNK)):
+        yield slice(start, min(start + CHUNK, count)), chunk_stream(seed, i)

@@ -11,6 +11,8 @@ types for the reports.
 
 from __future__ import annotations
 
+import json
+import math
 import re
 from fractions import Fraction
 from typing import Any, Mapping
@@ -165,7 +167,10 @@ def angle_from_json(v) -> Fraction:
 
 
 def jsonify(obj):
-    """Recursively convert numpy scalars/arrays and complexes ([re, im], or re when real) to JSON types."""
+    """Recursively convert numpy scalars/arrays and complexes ([re, im], or re when real) to JSON types.
+
+    A non-finite float becomes the string "NaN", "Infinity" or "-Infinity", so the report stays valid JSON.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -174,11 +179,12 @@ def jsonify(obj):
         return [jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return x if math.isfinite(x) else json.dumps(x)
     if isinstance(obj, complex):  # numpy's complex128 too
         c = complex(obj)
-        return c.real if c.imag == 0 else [c.real, c.imag]
+        return jsonify(c.real) if c.imag == 0 else [jsonify(c.real), jsonify(c.imag)]
     if isinstance(obj, Fraction):
         return str(obj)
     return obj

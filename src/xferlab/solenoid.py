@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NormalizationError
 from .pathmeasure import (
     CylinderFunctional,
-    as_word,
     conditional_expectation,
     sigma_expectation,
 )
@@ -45,7 +44,7 @@ class SolenoidWord:
         entries = tuple(self.space.point(x) for x in self.entries)
         if len(entries) < 1:
             raise ValueError("a solenoid word needs at least one entry")
-        if incompatible_transitions(self.space, [entries]):
+        if self.space.incompatible_transitions([entries]):
             raise ValueError("compatibility r(x_{k+1}) = x_k fails")
         object.__setattr__(self, "entries", entries)
 
@@ -66,14 +65,6 @@ def rhat(word: SolenoidWord) -> SolenoidWord:
     return SolenoidWord(word.space, (word.space.forward(word.entries[0]),) + word.entries)
 
 
-def incompatible_transitions(space, words) -> int:
-    """Number of transitions x_k -> x_{k+1} with r(x_{k+1}) != x_k in equal-length words.
-
-    The one solenoid compatibility test; the carrier does the count.
-    """
-    return space.incompatible_transitions(words)
-
-
 def support_mass(R: TransferOperator, x, n: int) -> float:
     """P_x-mass of length-n words compatible with the endomorphism.
 
@@ -90,7 +81,7 @@ def support_mass(R: TransferOperator, x, n: int) -> float:
 
 def ensemble_compatibility_violations(ensemble) -> int:
     """Number of sampled transitions violating the solenoid invariant."""
-    return incompatible_transitions(ensemble.space, ensemble.samples)
+    return ensemble.space.incompatible_transitions(ensemble.samples)
 
 
 def shift_invariance_residual(mu: Measure, R: TransferOperator, words) -> float:
@@ -100,7 +91,6 @@ def shift_invariance_residual(mu: Measure, R: TransferOperator, words) -> float:
     """
     res = 0.0
     for f in words:
-        f = as_word(f)
         ef = conditional_expectation(R, f)
         res = max(res, abs(integrate(mu, R.apply(ef)) - integrate(mu, ef)))
     return res
@@ -122,15 +112,17 @@ def word_compose_rhat(f: CylinderFunctional) -> CylinderFunctional:
     return CylinderFunctional((head * f.word[1],) + f.word[2:])
 
 
+def apply_wavelet_U(m: Observable, f: CylinderFunctional) -> CylinderFunctional:
+    """U f = (m o pi_1)(f o rhat) on cylinder words."""
+    lifted = word_compose_rhat(f)
+    return CylinderFunctional((m * lifted.word[0],) + lifted.word[1:])
+
+
 def conditional_two(R: TransferOperator, f, x1, x2):
-    """E_{x1,x2}(f): expectation conditioned on the first two coordinates."""
-    f = as_word(f)
+    """E_{x1,x2}(f) = phi_1(x1) E_{x2}(phi_2, ..., phi_n), conditioned on the first two coordinates."""
     out = f.word[0](x1)
     if f.depth >= 2:
-        tail = Observable.constant(f.space, 1.0)
-        if f.depth > 2:
-            tail = R.apply(conditional_expectation(R, CylinderFunctional(f.word[2:])))
-        out = out * (f.word[1] * tail)(x2)
+        out = out * conditional_expectation(R, CylinderFunctional(f.word[1:]))(x2)
     return out
 
 
@@ -138,7 +130,6 @@ def lift_conditional_residual(R: TransferOperator, words, points) -> float:
     """Max residual of E_x(f o rhat) = E_{r(x), x}(f) over words and points x."""
     res = 0.0
     for f in words:
-        f = as_word(f)
         lifted = conditional_expectation(R, word_compose_rhat(f))
         for x in points:
             res = max(res, abs(lifted(x) - conditional_two(R, f, R.space.forward(x), x)))
@@ -165,9 +156,7 @@ def covariance_check(
 
     res_mf = 0.0
     for F in words:
-        F = as_word(F)
         for f in words:
-            f = as_word(f)
             lhs = (F * word_compose_rhat(f)).shifted()  # (F (f o rhat)) o sigma
             rhs = F.shifted() * f
             diff = conditional_expectation(R, lhs) - conditional_expectation(R, rhs)
@@ -175,10 +164,7 @@ def covariance_check(
 
     res_norm = 0.0
     for f in words:
-        f = as_word(f)
-        uf = word_compose_rhat(f)
-        if m is not None:
-            uf = CylinderFunctional((m * uf.word[0],) + uf.word[1:])
+        uf = word_compose_rhat(f) if m is None else apply_wavelet_U(m, f)
         n_uf = sigma_expectation(mu, R, uf * uf.conj())
         n_f = sigma_expectation(mu, R, f * f.conj())
         res_norm = max(res_norm, abs(n_uf - n_f))
@@ -217,7 +203,6 @@ def group_translation_invariance(
     _check_same(R.space, mu.space)  # the Haar measure, the only one on the circle carrier
     if set(R.weight) != {0} or abs(R.weight.get(0, 0) - 0.5) > 1e-12:
         raise NormalizationError("group translation invariance requires uniform weight W = 1/2")
-    f = as_word(f)
     translated = translate_word(f, translate)
     lhs = conditional_expectation(R, translated)
     rhs = rotate_observable(conditional_expectation(R, f), translate.entries[0])

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConvergenceError, NormalizationError, ReducibleChainWarning
-from .rng import CHUNK, chunk_sizes, chunk_stream
+from .rng import chunks
 from .statespace import (
     CircleSpace,
     FiniteSpace,
@@ -170,18 +170,16 @@ class MatrixOperator(TransferOperator):
         the shared bisection step, vectorised across paths."""
         table = _cdf_table(self.kernel)
         out = np.empty((count, n), dtype=np.intp)
-        pos = 0
-        for ci, size in enumerate(chunk_sizes(count)):
-            rng = chunk_stream(seed, ci)
+        for rows, rng in chunks(count, seed):
+            size = rows.stop - rows.start
             if isinstance(root, Measure):
                 x = rng.choice(self.space.n, size=size, p=root.weights)
             else:
                 x = np.full(size, root, dtype=np.intp)
-            out[pos : pos + size, 0] = x
+            out[rows, 0] = x
             for step in range(1, n):
                 x = _next_states(table, x, rng.random(size))
-                out[pos : pos + size, step] = x
-            pos += size
+                out[rows, step] = x
         return out
 
 
@@ -309,16 +307,16 @@ class CircleRuelleOperator(TransferOperator):
             raise ValueError("mu-rooted sampling is not supported on the circle carrier")
         branches = functools.cache(self.transition_weights)  # a walk revisits few angles
         out = np.full((count, n), t0, dtype=object)
-        for ci, size in enumerate(chunk_sizes(count)):
-            rows = out[ci * CHUNK : ci * CHUNK + size]
-            u = chunk_stream(seed, ci).random((size, max(n - 1, 1)))
-            angles, k = [t0], np.zeros(size, dtype=np.intp)
+        for rows, rng in chunks(count, seed):
+            block = out[rows]
+            u = rng.random((len(block), max(n - 1, 1)))
+            angles, k = [t0], np.zeros(len(block), dtype=np.intp)
             for step in range(n - 1):
                 split = [branches(t) for t in angles]
                 p0 = np.array([p for (_u0, p), _b1 in split])
                 child, k = np.unique(2 * k + (u[:, step] >= p0[k]), return_inverse=True)
                 angles = [split[c >> 1][c & 1][0] for c in child.tolist()]
-                rows[:, step + 1] = np.fromiter(angles, object, len(angles))[k]
+                block[:, step + 1] = np.fromiter(angles, object, len(angles))[k]
         return out
 
 

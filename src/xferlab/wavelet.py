@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NormalizationError
 from .pathmeasure import CylinderFunctional, conditional_expectation, sigma_expectation
-from .solenoid import word_compose_rhat
+from .solenoid import apply_wavelet_U
 from .statespace import (
     CircleSpace,
     Measure,
@@ -202,8 +202,8 @@ def cascade(
 
     Requires the quadrature-mirror property unless explicitly waived (the
     waiver exists for negative controls; convergence is then not expected).
-    Raises ConvergenceError on three consecutive iterations of growing
-    refinement residual.
+    Raises ConvergenceError, carrying the residuals so far, on three
+    consecutive iterations of growing refinement residual.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
@@ -226,7 +226,7 @@ def cascade(
         if residuals and res > residuals[-1]:
             growing += 1
             if growing >= 3:
-                raise ConvergenceError("cascade diverging: residual grew 3 iterations in a row")
+                raise ConvergenceError("cascade diverging: residual grew 3 iterations in a row", residuals + [res])
         else:
             growing = 0
         residuals.append(res)
@@ -352,12 +352,6 @@ class RepresentationReport:
     scaling_residual: float
     orthogonality_residual: float
     span_dimensions: list[int]
-
-
-def apply_wavelet_U(m: Observable, f: CylinderFunctional) -> CylinderFunctional:
-    """U f = (m o pi_1)(f o rhat) on cylinder words."""
-    lifted = word_compose_rhat(f)
-    return CylinderFunctional((m * lifted.word[0],) + lifted.word[1:])
 
 
 def representation_check(

@@ -118,7 +118,7 @@ def test_criterion_05_solenoid_support(circle_haar):
 def test_criterion_06_shift_invariance_iff_stationarity(two_state):
     """Residual vanishes at the stationary measure and is 0.175 at (0.9, 0.1)."""
     sp, R = two_state
-    battery = [X.Observable.indicator(sp, 0), X.Observable.indicator(sp, 1)]
+    battery = [X.CylinderFunctional((X.Observable.indicator(sp, i),)) for i in (0, 1)]
     mu = X.invariant_measure(R)
     ok = X.shift_invariance_residual(mu, R, battery) <= 1e-12
     skew = X.Measure.from_weights(sp, [0.9, 0.1])

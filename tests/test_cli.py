@@ -265,6 +265,26 @@ class TestExitCodes:
         assert code == 1
         assert report["pass"] is False
 
+    def test_non_finite_values_are_strings_in_a_valid_report(self, tmp_path):
+        # in a subprocess: this suite turns the overflow RuntimeWarning into an error
+        cfg = {"space": TWO_STATE, "operator": CHAIN_OP, "word": [{"values": [1e200, 1]}] * 2,
+               "point": 0, "expected": 1.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        env = {**os.environ, "PYTHONPATH": str(Path(xferlab.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "xferlab.cli", "expectation", "--config", str(cfg_path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+
+        def refuse(token):
+            raise ValueError(f"{token} is not valid JSON")
+
+        report = json.loads(proc.stdout, parse_constant=refuse)
+        claims = {c["name"]: c for c in report["claims"]}
+        assert report["expectation"] == "Infinity" and claims["expectation"]["value"] == "Infinity"
+        assert claims["kolmogorov_consistency"]["value"] == "NaN"
+        assert not any(c["pass"] for c in claims.values())
+
 
 class TestTasks:
     def test_finite_point_by_label(self, tmp_path):
@@ -369,6 +389,8 @@ class TestTasks:
         claims = {c["name"]: c["pass"] for c in report["claims"]}
         assert code == 1
         assert claims == {"cascade_converging": False, "lawton_simple_eigenvalue": True}
+        r = report["refinement_residuals"]
+        assert len(r) >= 4 and r[-3] < r[-2] < r[-1]
 
     def test_non_qmf_cascade_has_no_lawton_claim(self, tmp_path):
         cfg = {"filter": {"coeffs": [HAAR_TAP, 0, HAAR_TAP]}, "allow_non_qmf": True}

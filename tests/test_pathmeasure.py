@@ -254,6 +254,16 @@ class TestEnsembleLayout:
             with pytest.raises(CarrierMismatchError):
                 a.merge(b)
 
+    def test_black_box_mean_matches_the_word_mean(self, carrier):
+        space, R, root, _ = carrier
+        ens = sample_paths(R, root, 4, 300, seed=5)
+        rng = np.random.default_rng(6)
+        word = CylinderFunctional(tuple(space.random_observable(rng) for _ in range(3)))
+        black_box, exact_word = ens.functional_mean(word.evaluate), ens.functional_mean(word)
+        assert np.max(np.abs(np.subtract(black_box, exact_word))) <= 1e-12
+        with pytest.raises(TypeError):  # a callable must return one scalar per path
+            ens.functional_mean(word.word[0])
+
     def test_observable_on_an_array_of_points_matches_per_point_calls(self, carrier):
         space, R, root, _ = carrier
         ens = sample_paths(R, root, 5, 200, seed=3)

@@ -36,7 +36,7 @@ from xferlab import (
 from xferlab.cli import main
 from xferlab.graphwalk import hitting_verification, path_network
 from xferlab.pathmeasure import _cdf_table, _next_states, harmonic_correspondence, simulate_absorbing
-from xferlab.rng import CHUNK, chunk_sizes, chunk_stream
+from xferlab.rng import CHUNK, chunks
 from xferlab.statespace import Observable
 from xferlab.transferop import CERTIFICATE_C, _closed_classes
 
@@ -438,9 +438,9 @@ def walk_by_paths(R, root, n, count, seed) -> list[list[Fraction]]:
     t0 = CircleSpace.point(root)
     branches = functools.cache(R.transition_weights)
     out = []
-    for ci, size in enumerate(chunk_sizes(count)):
-        u = chunk_stream(seed, ci).random((size, max(n - 1, 1)))
-        for i in range(size):
+    for rows, rng in chunks(count, seed):
+        u = rng.random((rows.stop - rows.start, max(n - 1, 1)))
+        for i in range(len(u)):
             path, t = [t0], t0
             for step in range(n - 1):
                 (u0, p0), (u1, _p1) = branches(t)

@@ -38,7 +38,6 @@ from xferlab import (
 from xferlab.pathmeasure import default_word_battery
 from xferlab.solenoid import (
     ensemble_compatibility_violations,
-    incompatible_transitions,
     random_solenoid_translate,
 )
 
@@ -127,7 +126,7 @@ def circle_words(draw):
 @given(circle_words())
 def test_compatibility_count_matches_the_fraction_oracle(words):
     oracle = sum((2 * w[k + 1]) % 1 != w[k] for w in words for k in range(len(w) - 1))
-    assert incompatible_transitions(CircleSpace(), words) == oracle
+    assert CircleSpace().incompatible_transitions(words) == oracle
 
 
 def test_a_million_branching_transitions_and_the_switch_to_python_ints():
@@ -154,7 +153,7 @@ def test_a_million_branching_transitions_and_the_switch_to_python_ints():
         assert (2 * D < 2**63) == on_int64 and D > 2**61
         oracle = sum((2 * w[k + 1]) % 1 != w[k] for w in words for k in range(len(w) - 1))
         assert 0 < oracle < 3 * len(words)
-        assert incompatible_transitions(CircleSpace(), words) == oracle
+        assert CircleSpace().incompatible_transitions(words) == oracle
 
 
 def _primes_above(lo, k):
@@ -168,9 +167,9 @@ def _primes_above(lo, k):
 def test_count_over_thousands_of_unrelated_denominators_is_linear():
     # the lcm of 4,000 primes near 10^5 has some 20,000 digits; each word is read over its own
     words = [(Fraction(1, p), Fraction(p + 1, 2 * p)) for p in _primes_above(10**5, 4000)]
-    assert incompatible_transitions(CircleSpace(), words) == 0
+    assert CircleSpace().incompatible_transitions(words) == 0
     # best of three calls, so that a scheduler pause or a garbage-collection pass is not read as its cost
-    assert min(timeit.repeat(lambda: incompatible_transitions(CircleSpace(), words), number=1, repeat=3)) < 0.1
+    assert min(timeit.repeat(lambda: CircleSpace().incompatible_transitions(words), number=1, repeat=3)) < 0.1
 
 
 def test_count_per_word_lcm_matches_the_fraction_oracle():
@@ -187,7 +186,7 @@ def test_count_per_word_lcm_matches_the_fraction_oracle():
     assert 2 * math.lcm(*{t.denominator for w in words for t in w}) >= 2**63
     oracle = sum((2 * w[k + 1]) % 1 != w[k] for w in words for k in range(len(w) - 1))
     assert 0 < oracle < 3 * len(words)
-    assert incompatible_transitions(CircleSpace(), words) == oracle
+    assert CircleSpace().incompatible_transitions(words) == oracle
 
 
 class TestShiftInvariance:
@@ -205,7 +204,7 @@ class TestShiftInvariance:
     def test_nonstationary_residual_frozen_value(self, two_state):
         sp, R = two_state
         mu = Measure.from_weights(sp, [0.9, 0.1])
-        battery = [Observable.indicator(sp, 0), Observable.indicator(sp, 1)]
+        battery = [CylinderFunctional((Observable.indicator(sp, i),)) for i in (0, 1)]
         # oracle: |mu R - mu| at the indicator = |0.9*0.75 + 0.1*0.5 - 0.9| = 0.175
         assert shift_invariance_residual(mu, R, battery) == pytest.approx(0.175)
 
