@@ -242,24 +242,31 @@ class SmaleWilliamsState:
             raise ValueError("initial point must lie in the solid torus (|z| <= 1)")
 
 
+def _step(t: float, z: complex) -> tuple[float, complex]:
+    return (2 * t) % 1.0, z / 4 + cmath.exp(2j * cmath.pi * t) / 2
+
+
 def smale_williams_map(s: SmaleWilliamsState) -> SmaleWilliamsState:
     """r(t, z) = (2t mod 1, z/4 + e^{2 pi i t}/2); image radius <= 3/4."""
-    return SmaleWilliamsState(
-        (2 * s.t) % 1.0, s.z / 4 + cmath.exp(2j * cmath.pi * s.t) / 2
-    )
+    return SmaleWilliamsState(*_step(s.t, s.z))
 
 
 def smale_williams_orbit(initial: SmaleWilliamsState, steps: int) -> np.ndarray:
     """Forward orbit; rows (t, Re z, Im z) for external plotting.
 
     A float angle t >= 2^-k is dyadic, with denominator at most 2^(52+k), and 2t mod 1 is exact
-    on floats: the orbit reaches t = 0 within 52 + k steps (55 from 0.1) and stays at the fixed
-    point (0, 2/3), the only point the CLI's ``attractor_radius_bound`` checks past that step.
+    on floats: the orbit reaches t = 0 within 52 + k steps (55 from 0.1), then Im z shrinks by 4
+    until it underflows, and by about step 590 the state (0, 2/3) repeats bit for bit. The loop
+    stops there and fills the remaining rows with it; past it ``attractor_radius_bound`` checks one point.
     """
     rows = np.empty((steps + 1, 3))
-    s = initial
-    rows[0] = (s.t, s.z.real, s.z.imag)
+    bits = rows.view(np.uint64)  # compared as bits, since -0.0 == 0.0
+    t, z = initial.t, initial.z
+    rows[0] = (t, z.real, z.imag)
     for i in range(1, steps + 1):
-        s = smale_williams_map(s)
-        rows[i] = (s.t, s.z.real, s.z.imag)
+        t, z = _step(t, z)
+        rows[i] = (t, z.real, z.imag)
+        if (bits[i] == bits[i - 1]).all():
+            rows[i + 1:] = rows[i]
+            break
     return rows

@@ -278,12 +278,12 @@ class CircleRuelleOperator(TransferOperator):
         return Measure.haar_measure(self.space)
 
     def stationarity_residual(self, mu: Measure) -> float:
-        """max over |n| <= degree of |int R(e_n) dHaar - int e_n dHaar| = |2 W_{-n} - delta_{n,0}|.
+        """max |int R(e_n) dHaar - int e_n dHaar| = |2 W_{-n} - delta_{n,0}| over |n| <= max(degree, span of W).
 
-        The Haar integral of R(e_n) is its 0th coefficient, one product 2 W_{-n}; so this
-        is the sweep over the characters of ``default_test_basis``, without building them.
+        The Haar integral of R(e_n) is its 0th coefficient, one product 2 W_{-n}; so this is the
+        sweep over the characters up to the degree and the span, without building them.
         """
-        d = self.space.degree
+        d = max(self.space.degree, *map(abs, self.weight))
         gap = 2 * coeffs_at(self._w, self._w_offset, np.arange(d, -d - 1, -1))
         gap[d] -= 1.0
         return float(np.max(np.abs(gap)))

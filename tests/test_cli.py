@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
 import xferlab
-from xferlab.cli import main
+from xferlab.cli import _write_csv, main
 from xferlab.serialize import angle_from_json
 
 TWO_STATE = {"kind": "finite", "states": ["a", "b"]}
@@ -476,3 +479,25 @@ class TestTasks:
         assert code == 0
         assert report["max_radius_after_first"] <= 0.75
         assert len(csv_path.read_text().strip().splitlines()) == 102
+        # every float angle is dyadic: t runs through 52 distinct angles and stays at 0 from step 52 on
+        assert report["distinct_angles"] == 53
+
+
+ENTRY = st.sampled_from([0.0, -0.0, 2 / 3]) | st.floats(width=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=st.lists(st.tuples(ENTRY, ENTRY, ENTRY), min_size=1, max_size=3),
+    runs=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 6)), min_size=1, max_size=12),
+)
+@example(pool=[(0.0, 2 / 3, -0.0)], runs=[(0, 2), (1, 3), (0, 1)])
+def test_orbit_csv_is_the_savetxt_bytes(pool, runs):
+    """Runs of repeated rows, rows that differ only by the sign of a zero, and nan and inf entries."""
+    pool = pool + [tuple(-x if x == 0 else x for x in row) for row in pool]  # each zero's sign flipped
+    table = np.array([pool[i % len(pool)] for i, n in runs for _ in range(n)], dtype=float)
+    with tempfile.TemporaryDirectory() as d:
+        ours, ref = Path(d) / "ours.csv", Path(d) / "ref.csv"
+        _write_csv(ours, table)
+        np.savetxt(ref, table, delimiter=",", header="t,re_z,im_z", comments="")
+        assert ours.read_bytes() == ref.read_bytes()

@@ -1,7 +1,8 @@
 """Closed-form verdicts against the sweeps and dict loops they replace.
 
 Each oracle below is the code its closed form replaced, kept as it was apart
-from its name: the character and indicator sweeps over ``default_test_basis``,
+from its name (below the span of W the character sweep now reaches the span's
+characters): the character and indicator sweeps over ``default_test_basis``,
 the Gram matrix built from inner products of rebuilt forward dilates, and the
 dict-loop Lawton map, Lawton matrix, filter autocorrelation, S0 and translate
 evaluation.  Where the arithmetic is the same the comparison is ``==``; where
@@ -27,6 +28,7 @@ from xferlab import (
     QMFFilter,
     cascade,
     compose_with_endo,
+    correlation,
     daubechies4,
     fiber_average,
     haar_filter,
@@ -85,16 +87,15 @@ def character_sweep(R: CircleRuelleOperator, mu: Measure) -> float:
     """Oracle: max over the characters of ``default_test_basis`` of |int R(phi) dmu - int phi dmu|.
 
     Below the span s of W, R of an extreme character can leave the degree bound
-    (DegreeOverflowError), so the sweep then applies the same weight at degree s.
+    (DegreeOverflowError), and characters up to s can still see W; so the sweep then
+    applies the same weight at degree s to every character of that degree's basis.
     """
     span = max(abs(n) for n in R.weight)
-    basis = R.space.default_test_basis()
     if span > R.space.degree:
         R = CircleRuelleOperator(CircleSpace(degree=span), R.weight)
         mu = Measure.haar_measure(R.space)
-        basis = [Observable.character(R.space, phi.offset) for phi in basis]
     res = 0.0
-    for phi in basis:
+    for phi in R.space.default_test_basis():
         res = max(res, abs(mu.integrate(R.apply(phi)) - mu.integrate(phi)))
     return res
 
@@ -127,6 +128,18 @@ def test_circle_stationarity_reads_w_beyond_the_degree_bound():
         R.apply(Observable.character(space, 1))
     mu = Measure.haar_measure(space)
     assert stationarity_residual(R, mu) == character_sweep(R, mu) == 0.5624999999999998
+
+
+def test_circle_stationarity_sees_a_weight_whose_non_constant_part_lies_beyond_the_degree():
+    space = CircleSpace(degree=2)
+    R = CircleRuelleOperator(space, {0: 0.5, 3: 0.25, -3: 0.25})
+    mu = Measure.haar_measure(space)
+    with pytest.raises(ValueError, match="Haar is not invariant"):
+        R.invariant_measure()
+    assert stationarity_residual(R, mu) == character_sweep(R, mu) == 0.5
+    one = Observable.constant(space, 1.0)
+    with pytest.warns(UserWarning, match="not R-stationary"):
+        correlation(mu, R, one, one, 1)
 
 
 @settings(max_examples=100, deadline=None)

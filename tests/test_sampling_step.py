@@ -5,7 +5,8 @@ The pinned finite digests below were recorded with the O(states) counting step
 ``(u[:, None] > cumsum(K)[x]).sum(axis=1)`` of xferlab 0.1.0, and the circle
 digests and CSV bytes with the dict-of-coefficients circle algebra that came
 before the dense layout; any change to the mapping from seed to paths, or to
-the operator fingerprints, shows up here first.
+the operator fingerprints, shows up here first.  The Smale–Williams orbit CSV
+and report digests were recorded with the per-step orbit loop and ``np.savetxt``.
 """
 
 import functools
@@ -114,6 +115,12 @@ CIRCLE_SAMPLE_CFG = {
     "word": [{"fourier": {"-1": 0.5, "0": 1.0, "1": 0.5}}, {"fourier": {"2": [0.0, 0.25], "-2": [0.0, -0.25]}}],
 }
 PINNED_CIRCLE_CSV = "0ebc1614ff37a985a571dfb702149135efa90b500a87491a0bcd6668ee95c37d"
+SMALE_WILLIAMS_CFG = {"t": 0.3711, "z": [0.95, 0.2], "steps": 40000}
+# SHA-256 of the orbit CSV and of the report without "distinct_angles", as the per-step loop wrote them
+PINNED_SMALE_WILLIAMS = (
+    "4ad3a3e206a7e9a09b9400410cba6605c4a806fd6c0fcad7fa8941da7df1c2c2",
+    "13e56e69587dc0bf18e45096371e06089553972e78b4757e864e0c75bb5b8732",
+)
 
 
 class TestSeedToPathMapping:
@@ -135,6 +142,17 @@ class TestSeedToPathMapping:
         code = main(["sample", "--config", str(cfg), "--output", str(tmp_path / "r.json"), "--csv", str(csv_path)])
         assert code == 0
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == PINNED_CIRCLE_CSV
+
+    def test_smale_williams_csv_and_report_bytes_are_pinned(self, tmp_path):
+        cfg, out, csv_path = tmp_path / "cfg.json", tmp_path / "r.json", tmp_path / "orbit.csv"
+        cfg.write_text(json.dumps(SMALE_WILLIAMS_CFG))
+        code = main(["smale-williams", "--config", str(cfg), "--output", str(out), "--csv", str(csv_path)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report.pop("distinct_angles") == 53
+        text = json.dumps(report, indent=2) + "\n"
+        digests = tuple(hashlib.sha256(b).hexdigest() for b in (csv_path.read_bytes(), text.encode()))
+        assert digests == PINNED_SMALE_WILLIAMS
 
 
 def _count_step(table, x, u):

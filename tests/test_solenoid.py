@@ -7,7 +7,7 @@ import timeit
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xferlab import (
@@ -267,3 +267,32 @@ class TestSmaleWilliams:
     def test_points_outside_the_torus_rejected(self):
         with pytest.raises(ValueError):
             SmaleWilliamsState(0.0, 1.5 + 0.0j)
+
+
+def orbit_by_map(s: SmaleWilliamsState, steps: int) -> np.ndarray:
+    """Oracle: the per-step loop ``smale_williams_orbit`` replaced, one state per step and no early stop."""
+    rows = np.empty((steps + 1, 3))
+    rows[0] = (s.t, s.z.real, s.z.imag)
+    for i in range(1, steps + 1):
+        s = smale_williams_map(s)
+        rows[i] = (s.t, s.z.real, s.z.imag)
+    return rows
+
+
+DISK_PART = st.sampled_from([0.0, -0.0]) | st.floats(-0.7, 0.7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.sampled_from([0.0, 5e-324, 1 - 2**-53]) | st.floats(0.0, 1.0, exclude_max=True),
+    re=DISK_PART,
+    im=DISK_PART,
+    steps=st.integers(1, 3000),
+)
+@example(t=0.3711, re=0.95, im=0.2, steps=588)  # row 588 is the last new state
+@example(t=0.3711, re=0.95, im=0.2, steps=589)  # row 589 is the first repeat, and the last row
+@example(t=5e-324, re=-0.0, im=-0.0, steps=3000)  # t reaches 0 at step 1074, the state repeats from 1611
+@example(t=0.1, re=0.0, im=-0.0, steps=2)
+def test_orbit_is_the_per_step_map_loop_bit_for_bit(t, re, im, steps):
+    s = SmaleWilliamsState(t, complex(re, im))
+    assert smale_williams_orbit(s, steps).tobytes() == orbit_by_map(s, steps).tobytes()
