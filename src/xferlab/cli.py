@@ -30,7 +30,7 @@ from .serialize import (
 )
 from .statespace import CircleSpace, FiniteSpace, Measure, integrate
 from .transferop import pullout_check, stationarity_residual
-from .errors import ConvergenceError, NoEndomorphismError, NormalizationError, XferlabError
+from .errors import NoEndomorphismError, NormalizationError, XferlabError
 
 STATIONARY = {"kind": "stationary"}
 
@@ -161,29 +161,19 @@ def run_cascade(cfg):
     allow_non_qmf = field(cfg, "allow_non_qmf", bool, False)
     tol = field(cfg, "orthogonality_tolerance", float, 1e-4)
     h = filter_from_json(field(cfg, "filter", dict))
-    report, claims = {}, []
-    try:
-        sf = wavelet.cascade(h, iterations=iterations, resolution=resolution, allow_non_qmf=allow_non_qmf)
-    except ConvergenceError as exc:  # three growing residuals: a failing claim, not a bad config
-        report["refinement_residuals"] = exc.residuals
-        claims.append(_claim("cascade_converging", 1.0, 0.0))
-    else:
-        a_grid = wavelet.translate_orthogonality(sf)
-        report.update(
-            integral=sf.integral(),
-            refinement_residuals=sf.refinement_residuals,
-            orthogonality_grid={str(k): [v.real, v.imag] for k, v in sorted(a_grid.items())},
-        )
-        claims.append(_claim("cascade_converging", 0.0, 0.0))
-        claims.append(_claim("translate_orthogonality", wavelet.orthogonality_defect(a_grid), tol))
-    try:
+    sf = wavelet.cascade(h, iterations=iterations, resolution=resolution, allow_non_qmf=allow_non_qmf)
+    a_grid = wavelet.translate_orthogonality(sf)
+    report = {
+        "integral": sf.integral(),
+        "refinement_residuals": sf.refinement_residuals,
+        "orthogonality_grid": {str(k): [v.real, v.imag] for k, v in sorted(a_grid.items())},
+    }
+    try:  # a QMF cascade keeps the exact correlations T^n delta = delta, so only Lawton's count can fail
         count = wavelet.lawton_multiplicity(h)
     except NormalizationError:  # a non-QMF negative control: Lawton's criterion does not apply
-        pass
-    else:
-        report["lawton_multiplicity"] = count
-        claims.append(_claim("lawton_simple_eigenvalue", count, 0, "==", 1))
-    return report, claims
+        return report, [_claim("translate_orthogonality", wavelet.orthogonality_defect(a_grid), tol)]
+    report["lawton_multiplicity"] = count
+    return report, [_claim("lawton_simple_eigenvalue", count, 0, "==", 1)]
 
 
 def run_representation(cfg):

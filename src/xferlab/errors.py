@@ -34,11 +34,7 @@ class NormalizationError(XferlabError, ValueError):
 
 
 class ConvergenceError(XferlabError):
-    """A solver could not certify its result; ``residuals`` holds an iteration's residuals, if any."""
-
-    def __init__(self, message, residuals=()):
-        super().__init__(message)
-        self.residuals = list(residuals)
+    """A solver could not certify its result: a singular solve, a failed certificate, or no clear gap."""
 
 
 class ReducibleChainWarning(UserWarning):

@@ -35,7 +35,7 @@ class Network:
             raise ValueError("conductance matrix must be square over the vertex set")
         if np.any(c < 0):
             raise NormalizationError("conductances must be nonnegative")
-        if np.max(np.abs(c - c.T)) > 1e-12:
+        if not np.all(np.abs(c - c.T) <= 1e-12):  # written so that a NaN conductance fails
             raise NormalizationError("conductances must be symmetric")
         if np.any(np.diag(c) != 0):
             raise ValueError("self-loops are not supported")

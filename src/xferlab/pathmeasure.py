@@ -314,7 +314,7 @@ def default_word_battery(space, max_depth: int = 4, per_depth: int = 5, seed: in
 
 def correlation(mu: Measure, R: TransferOperator, phi: Observable, psi: Observable, k: int):
     """E(X_n(phi) X_{n+k}(psi)) = int phi R^k(psi) dmu (stationary mu)."""
-    if stationarity_residual(R, mu) > 1e-10:
+    if not stationarity_residual(R, mu) <= 1e-10:
         warnings.warn("mu is not R-stationary; the correlation identity assumes mu o R = mu")
     return integrate(mu, phi * R.apply_power(psi, k))
 
@@ -376,7 +376,7 @@ def harmonic_correspondence(
     state that never absorbs raises ValueError (``harmonic_extension``).
     """
     resid = (R.apply(h) - h).coeff_norm()
-    if resid > 1e-10:
+    if not resid <= 1e-10:
         raise NotHarmonicError(f"Rh - h has residual {resid}")
     one = Observable.constant(h.space, 1.0)
     mart = []

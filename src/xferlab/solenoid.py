@@ -201,7 +201,7 @@ def group_translation_invariance(
     """
     _require(R.space, CircleSpace, "the group case")
     _check_same(R.space, mu.space)  # the Haar measure, the only one on the circle carrier
-    if set(R.weight) != {0} or abs(R.weight.get(0, 0) - 0.5) > 1e-12:
+    if set(R.weight) != {0} or not abs(R.weight.get(0, 0) - 0.5) <= 1e-12:
         raise NormalizationError("group translation invariance requires uniform weight W = 1/2")
     translated = translate_word(f, translate)
     lhs = conditional_expectation(R, translated)
@@ -232,14 +232,17 @@ def random_solenoid_translate(
 
 @dataclass(frozen=True)
 class SmaleWilliamsState:
-    """Point of the solid torus: angle t in [0, 1), disk coordinate |z| <= 1."""
+    """Point of the solid torus: angle t, stored reduced to [0, 1); disk coordinate |z| <= 1."""
 
     t: float
     z: complex
 
     def __post_init__(self):
-        if abs(self.z) > 1 + 1e-12:
+        if not cmath.isfinite(self.t):
+            raise ValueError(f"t must be a finite angle, not {self.t}")
+        if not abs(self.z) <= 1 + 1e-12:
             raise ValueError("initial point must lie in the solid torus (|z| <= 1)")
+        object.__setattr__(self, "t", self.t % 1.0 % 1.0)  # twice: -1e-20 % 1.0 rounds to 1.0
 
 
 def _step(t: float, z: complex) -> tuple[float, complex]:

@@ -454,7 +454,7 @@ class Measure:
             raise ValueError("weight vector length must match the state count")
         if np.any(w < 0):
             raise NormalizationError("measure weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
+        if not abs(float(w.sum()) - 1.0) <= 1e-12:  # written so that a NaN weight fails
             raise NormalizationError(f"weights sum to {w.sum()}, expected 1 within 1e-12")
         return cls(space, weights=w)
 

@@ -80,7 +80,7 @@ class MatrixOperator(TransferOperator):
         if np.any(k < 0):
             raise NormalizationError("kernel entries must be nonnegative")
         rows = k.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > UNITALITY_TOL:
+        if not np.all(np.abs(rows - 1.0) <= UNITALITY_TOL):  # written so that a NaN row fails
             raise NormalizationError("rows must sum to 1 within 1e-12 (R1 = 1)")
         object.__setattr__(self, "kernel", k)
 
@@ -228,13 +228,13 @@ class CircleRuelleOperator(TransferOperator):
         dense, offset = dense_coeffs(w)
         # unitality: (R 1)_k = 2 W_{2k} must be the delta at 0, W_0 = 1/2 included
         for k, c in {0: 0j, **sparse_coeffs(*even_gather(dense, offset))}.items():
-            if abs(c - (0.5 if k == 0 else 0.0)) > UNITALITY_TOL:
+            if not abs(c - (0.5 if k == 0 else 0.0)) <= UNITALITY_TOL:
                 raise NormalizationError(f"weight violates R1=1: coefficient W_{2 * k} = {c}")
         object.__setattr__(self, "_w", dense)
         object.__setattr__(self, "_w_offset", offset)
         grid = self.space.grid
         vals = horner(dense, offset, np.exp(2j * np.pi * np.arange(grid) / grid))
-        if np.max(np.abs(vals.imag)) > POSITIVITY_TOL or np.min(vals.real) < -POSITIVITY_TOL:
+        if not np.all((np.abs(vals.imag) <= POSITIVITY_TOL) & (vals.real >= -POSITIVITY_TOL)):
             raise NormalizationError("weight must be real and nonnegative on the grid")
 
     def apply(self, phi: Observable) -> Observable:
@@ -252,7 +252,7 @@ class CircleRuelleOperator(TransferOperator):
         pre = CircleSpace.preimages(Fraction(t))
         w = [self.weight_at(u) for u in pre]
         total = sum(w)
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:
             raise NormalizationError(f"transition weights sum to {total}, expected 1")
         return tuple((u, wi / total) for u, wi in zip(pre, w))
 

@@ -56,7 +56,7 @@ class QMFFilter:
     @classmethod
     def make(cls, coeffs: Sequence, offset: int = 0, require_normalization: bool = True):
         f = cls(np.asarray(coeffs, dtype=complex), offset)
-        if require_normalization and abs(f.coeff_sum() - SQRT2) > 1e-12:
+        if require_normalization and not abs(f.coeff_sum() - SQRT2) <= 1e-12:  # so that NaN fails
             raise NormalizationError(
                 f"filter coefficients sum to {f.coeff_sum()}, expected sqrt(2)"
             )
@@ -198,18 +198,20 @@ def cascade(
     resolution: int = 10,
     allow_non_qmf: bool = False,
 ) -> ScalingFunction:
-    """Iterate the refinement operator from the indicator of [0, 1).
+    """Iterate the refinement operator from the indicator of [0, 1), all ``iterations`` times.
 
     Requires the quadrature-mirror property unless explicitly waived (the
     waiver exists for negative controls; convergence is then not expected).
-    Raises ConvergenceError, carrying the residuals so far, on three
-    consecutive iterations of growing refinement residual.
+    The sup-norm ``refinement_residuals`` are report data only: the L2
+    convergence of a QMF cascade is certified by ``lawton_multiplicity``
+    (a simple eigenvalue 1 means orthonormal, hence stable, translates), not
+    read from them, since a convergent cascade can grow pointwise on the grid.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     if h.length < 2:
         raise ValueError("cascade needs a filter of length >= 2")
-    if not allow_non_qmf and qmf_check(h).coeff_residual > QMF_TOL:
+    if not allow_non_qmf and not qmf_check(h).coeff_residual <= QMF_TOL:
         raise NormalizationError(
             "filter fails the quadrature-mirror identity; pass allow_non_qmf=True "
             "to cascade a negative control"
@@ -219,17 +221,9 @@ def cascade(
     values = np.zeros(m, dtype=complex)
     values[: min(g, m)] = 1.0  # indicator of [0, 1) relative to the support start
     residuals: list[float] = []
-    growing = 0
     for _ in range(iterations):
         nxt = _cascade_step(h, values, g)
-        res = float(np.max(np.abs(nxt - values)))
-        if residuals and res > residuals[-1]:
-            growing += 1
-            if growing >= 3:
-                raise ConvergenceError("cascade diverging: residual grew 3 iterations in a row", residuals + [res])
-        else:
-            growing = 0
-        residuals.append(res)
+        residuals.append(float(np.max(np.abs(nxt - values))))
         values = nxt
     return ScalingFunction(resolution, h.offset, values, residuals)
 
@@ -262,7 +256,7 @@ def lawton_multiplicity(h: QMFFilter) -> int:
     filter is not QMF, where the criterion does not hold.
     """
     delta = qmf_check(h).coeff_residual
-    if delta > QMF_TOL:
+    if not delta <= QMF_TOL:
         raise NormalizationError(
             f"filter fails the quadrature-mirror identity by {delta:.3g}; "
             "Lawton's criterion needs a QMF filter"

@@ -72,6 +72,20 @@ BASE = {
 }
 DROP = object()
 HAAR_TAP = HAAR["coeffs"][0]
+# draws 0-3 of bench/circle.py's lattice_taps(np.random.default_rng(0), 2): orthonormal QMF filters
+LATTICE_DRAWS = [
+    [0.6501756245823669, -0.04895778975246476, 0.056931156604180556, 0.7560645709390122],
+    [-0.07613390288122024, 0.09788010331717983, 0.7832406840677678, 0.6092266778693676],
+    [0.8353708028517783, 0.48716469716767336, -0.12826402166523082, 0.2199420840188741],
+    [0.7724122608086929, 0.6266051198349372, -0.06530547962214538, 0.08050166135161034],
+]
+ORTHONORMAL = {
+    "haar": HAAR["coeffs"],
+    "haar-12-digits": [0.707106781187] * 2,
+    "d4": xferlab.daubechies4().coeffs.real.tolist(),
+    "d4-rounded": [0.48296291314469025, 0.8365163037378079, 0.2241438680420134, -0.12940952255092145],
+    **{f"lattice-{i}": taps for i, taps in enumerate(LATTICE_DRAWS)},
+}
 
 
 def _with(task, **changes):
@@ -382,18 +396,33 @@ class TestTasks:
     def test_cascade_of_orthonormal_filters_passes(self, tmp_path, coeffs):
         code, report = run(tmp_path, "cascade", {"filter": {"coeffs": coeffs}, "iterations": 12, "resolution": 10})
         assert code == 0 and report["lawton_multiplicity"] == 1
-        assert {c["name"] for c in report["claims"]} == {
-            "cascade_converging", "translate_orthogonality", "lawton_simple_eigenvalue"
-        }
+        assert {c["name"] for c in report["claims"]} == {"lawton_simple_eigenvalue"}
 
-    def test_growing_cascade_is_a_failing_claim(self, tmp_path):
-        taps = [0.6501756245823669, -0.04895778975246476, 0.056931156604180556, 0.7560645709390122]
+    def test_cascade_whose_grid_residual_grows_passes_on_lawton(self, tmp_path):
+        # an orthonormal filter: its L2 cascade converges, while the sup-norm grid residual grows
+        taps = LATTICE_DRAWS[0]
         code, report = run(tmp_path, "cascade", {"filter": {"coeffs": taps}, "iterations": 12, "resolution": 10})
         claims = {c["name"]: c["pass"] for c in report["claims"]}
-        assert code == 1
-        assert claims == {"cascade_converging": False, "lawton_simple_eigenvalue": True}
+        assert code == 0 and claims == {"lawton_simple_eigenvalue": True}
         r = report["refinement_residuals"]
-        assert len(r) >= 4 and r[-3] < r[-2] < r[-1]
+        assert len(r) == 12 and r[0] < r[1] < r[2] < r[3]  # three growths in a row, and the run goes on
+
+    @pytest.mark.parametrize("iterations, resolution", [(12, 10), (14, 11)])
+    @pytest.mark.parametrize("coeffs", ORTHONORMAL.values(), ids=ORTHONORMAL.keys())
+    def test_orthonormal_cascade_has_the_lawton_claim_alone(self, tmp_path, coeffs, iterations, resolution):
+        cfg = {"filter": {"coeffs": coeffs}, "iterations": iterations, "resolution": resolution}
+        code, report = run(tmp_path, "cascade", cfg)
+        assert code == 0 and report["lawton_multiplicity"] == 1
+        assert [c["name"] for c in report["claims"]] == ["lawton_simple_eigenvalue"]
+        assert len(report["refinement_residuals"]) == iterations
+        assert {"integral", "orthogonality_grid"} <= report.keys()
+
+    @pytest.mark.parametrize("tap", [0.7071067811865475, 0.7071067811865476])
+    def test_even_stretch_fails_the_grid_claim_for_both_roundings(self, tmp_path, tap):
+        cfg = {"filter": {"coeffs": [tap, 0, tap]}, "allow_non_qmf": True}
+        code, report = run(tmp_path, "cascade", cfg)
+        assert code == 1 and len(report["refinement_residuals"]) == 12
+        assert [(c["name"], c["pass"]) for c in report["claims"]] == [("translate_orthogonality", False)]
 
     def test_non_qmf_cascade_has_no_lawton_claim(self, tmp_path):
         cfg = {"filter": {"coeffs": [HAAR_TAP, 0, HAAR_TAP]}, "allow_non_qmf": True}
@@ -481,6 +510,11 @@ class TestTasks:
         assert len(csv_path.read_text().strip().splitlines()) == 102
         # every float angle is dyadic: t runs through 52 distinct angles and stays at 0 from step 52 on
         assert report["distinct_angles"] == 53
+
+    @pytest.mark.parametrize("t", [1e17, 1e308])
+    def test_smale_williams_reduces_a_huge_integer_angle(self, tmp_path, t):
+        code, report = run(tmp_path, "smale-williams", {"t": t, "z": [0, 0], "steps": 1})
+        assert code == 0 and report["final"] == [0.0, 0.5, 0.0]
 
 
 ENTRY = st.sampled_from([0.0, -0.0, 2 / 3]) | st.floats(width=64)

@@ -268,6 +268,20 @@ class TestSmaleWilliams:
         with pytest.raises(ValueError):
             SmaleWilliamsState(0.0, 1.5 + 0.0j)
 
+    @pytest.mark.parametrize("t", [1e17, 1e308, -3.0, -0.0])
+    def test_an_integer_angle_is_reduced_before_the_first_step(self, t):
+        s = SmaleWilliamsState(t, 0j)
+        assert s.t == 0.0 and smale_williams_map(s).z == 0.5
+
+    def test_a_negative_angle_is_stored_reduced(self):
+        assert SmaleWilliamsState(-0.25, 0j).t == 0.75
+        assert SmaleWilliamsState(-1e-20, 0j).t == 0.0  # not -1e-20 % 1.0, which rounds to 1.0
+
+    @pytest.mark.parametrize("t", [float("inf"), float("-inf"), float("nan")])
+    def test_a_non_finite_angle_is_refused_by_name(self, t):
+        with pytest.raises(ValueError, match="t must be a finite angle"):
+            SmaleWilliamsState(t, 0j)
+
 
 def orbit_by_map(s: SmaleWilliamsState, steps: int) -> np.ndarray:
     """Oracle: the per-step loop ``smale_williams_orbit`` replaced, one state per step and no early stop."""

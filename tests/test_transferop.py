@@ -9,8 +9,10 @@ from xferlab import (
     FiniteSpace,
     MatrixOperator,
     Measure,
+    Network,
     NormalizationError,
     Observable,
+    QMFFilter,
     ReducibleChainWarning,
     adjoint_apply,
     inner_product,
@@ -190,3 +192,24 @@ class TestIntegralKernel:
         vals = np.array([[1.0, 1.0, 1.0], [0.5, 1.5, 1.5], [2.0, 0.0, 0.0]])
         R = kernel_operator(sp, vals, mu)
         assert np.allclose(R.kernel.sum(axis=1), 1.0)
+
+
+NAN = float("nan")
+NAN_INPUTS = {
+    "matrix-row": lambda: MatrixOperator(FiniteSpace(("a", "b")), [[NAN, 0.5], [0.5, 0.5]]),
+    "kernel-value": lambda: kernel_operator(
+        FiniteSpace(("a", "b")), [[NAN, 1.0], [1.0, 1.0]], Measure.uniform(FiniteSpace(("a", "b")))
+    ),
+    "measure-weight": lambda: Measure.from_weights(FiniteSpace(("a", "b")), [NAN, 0.5]),
+    "ruelle-even-weight": lambda: CircleRuelleOperator(CircleSpace(degree=8), {0: 0.5, 2: NAN}),
+    "ruelle-odd-weight": lambda: CircleRuelleOperator(CircleSpace(degree=8), {0: 0.5, 1: NAN, -1: NAN}),
+    "filter-tap": lambda: QMFFilter.make([NAN, 2**-0.5]),
+    "conductance": lambda: Network(FiniteSpace(("a", "b", "c")), [[0, NAN, 1], [NAN, 0, 1], [1, 1, 0]], (0,)),
+}
+
+
+@pytest.mark.parametrize("build", NAN_INPUTS.values(), ids=NAN_INPUTS.keys())
+def test_nan_fails_every_normalization_check(build):
+    # each tolerance test reads "not err <= tol", since "err > tol" is False for NaN
+    with pytest.raises(NormalizationError):
+        build()

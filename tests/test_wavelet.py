@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xferlab import (
     CircleSpace,
@@ -22,7 +24,8 @@ from xferlab import (
     translate_orthogonality,
 )
 from xferlab.transferop import CERTIFICATE_C
-from xferlab.wavelet import SQRT2, _lawton_matrix, lawton_multiplicity, scaled_coeffs
+from xferlab.statespace import coeffs_at
+from xferlab.wavelet import SQRT2, _cascade_step, _lawton_matrix, lawton_multiplicity, scaled_coeffs
 
 
 def spectral_factor_oracle():
@@ -38,7 +41,8 @@ def spectral_factor_oracle():
     return np.asarray(poly, dtype=float) / (4 * math.sqrt(a))
 
 
-# a QMF filter from the paraunitary lattice whose cascade residual grows at resolution 10
+# draw 0 of bench/circle.py's lattice_taps(default_rng(0), 2): orthonormal, with an L2-convergent cascade
+# whose sup-norm grid residual grows at resolution 10
 LATTICE_TAPS = [0.6501756245823669, -0.04895778975246476, 0.056931156604180556, 0.7560645709390122]
 
 
@@ -192,11 +196,99 @@ class TestLawtonCount:
         with pytest.raises(NormalizationError, match="quadrature-mirror"):
             lawton_multiplicity(stretched_haar(2))
 
-    def test_growing_cascade_of_an_orthonormal_filter_raises(self):
-        h = QMFFilter.make(LATTICE_TAPS)
-        assert lawton_multiplicity(h) == 1
-        with pytest.raises(ConvergenceError, match="diverging"):
-            cascade(h, 12, resolution=10)
+
+
+def lattice_filter(rng, pairs: int, complex_taps: bool) -> QMFFilter:
+    """A random QMF filter of length 2 * pairs from the paraunitary lattice.
+
+    The polyphase pair (a, b), with h_{2k} = a_k and h_{2k+1} = b_k, starts at (1, 0);
+    each step applies a random orthogonal (or unitary) 2 x 2 matrix and then diag(1, z),
+    which keeps |a|^2 + |b|^2 = 1 on the circle.  A last constant unitary maps
+    (a(1), b(1)) to (1, 1) / sqrt(2), so the taps sum to sqrt(2).
+    """
+    a, b = np.ones(1, complex), np.zeros(1, complex)
+    for _ in range(pairs - 1):
+        g = rng.standard_normal((2, 2)) + (1j * rng.standard_normal((2, 2)) if complex_taps else 0)
+        u = np.linalg.qr(g)[0]
+        a, b = np.append(u[0, 0] * a + u[0, 1] * b, 0), np.insert(u[1, 0] * a + u[1, 1] * b, 0, 0)
+    v = np.array([a.sum(), b.sum()])
+    u = np.outer([1, 1], v.conj()) + np.outer([1, -1], [v[1], -v[0]])  # sqrt(2) times the unitary
+    taps = np.empty(2 * a.size, complex)
+    taps[0::2], taps[1::2] = (u[0, 0] * a + u[0, 1] * b) / SQRT2, (u[1, 0] * a + u[1, 1] * b) / SQRT2
+    return QMFFilter.make(taps if complex_taps else taps.real)
+
+
+def l2_residuals_by_lawton(h: QMFFilter, start: int, count: int) -> np.ndarray:
+    """Oracle: ||phi_{n+1} - phi_n||_2^2 of the cascade from chi_[0,1), for n = start .. start + count - 1.
+
+    a_n(k) = <phi_n, phi_n(. - k)> and c_n(k) = <phi_{n+1}, phi_n(. - k)> both advance by the
+    Lawton matrix T, from a_0 = delta and c_0(k) = (h_{2k} + h_{2k+1}) / sqrt(2); the squared
+    residual is a_{n+1}(0) + a_n(0) - 2 Re c_n(0).
+    """
+    t, n = _lawton_matrix(h), h.length
+    lags = np.arange(1 - n, n)
+    a = (lags == 0).astype(complex)
+    c = coeffs_at(h.coeffs, 0, 2 * lags) + coeffs_at(h.coeffs, 0, 2 * lags + 1)
+    p = np.linalg.matrix_power(t, start)
+    a, c = p @ a, p @ c / SQRT2
+    out = []
+    for _ in range(count):
+        a_next = t @ a
+        out.append(a_next[n - 1].real + a[n - 1].real - 2 * c[n - 1].real)
+        a, c = a_next, t @ c
+    return np.array(out)
+
+
+def l2_residuals_on_the_grid(h: QMFFilter, iterations: int, resolution: int) -> np.ndarray:
+    """Squared L2 norms of the differences of successive grid iterates, which hold the cascade exactly
+    while iterations <= resolution; the last iterate must be ``cascade``'s, bit for bit."""
+    g = 2**resolution
+    values = np.zeros((h.length - 1) * g, dtype=complex)
+    values[:g] = 1.0
+    out = []
+    for _ in range(iterations):
+        nxt = _cascade_step(h, values, g)
+        out.append(np.sum(np.abs(nxt - values) ** 2) / g)
+        values = nxt
+    assert np.array_equal(values, cascade(h, iterations, resolution).values)
+    return np.array(out)
+
+
+def second_eigenvalue_modulus(h: QMFFilter) -> float:
+    """The largest |lambda| of the Lawton matrix once one eigenvalue nearest to 1 is set aside."""
+    ev = np.linalg.eigvals(_lawton_matrix(h))
+    return float(np.max(np.abs(np.delete(ev, np.argmin(np.abs(ev - 1))))))
+
+
+NAMED_FILTERS = {"haar": haar_filter(), "d4": daubechies4(), "stretched-haar-3": stretched_haar(3),
+                 "lattice-draw-0": QMFFilter.make(LATTICE_TAPS)}
+FILTERS = st.sampled_from(sorted(NAMED_FILTERS)).map(NAMED_FILTERS.get) | st.builds(
+    lambda seed, pairs, complex_taps: lattice_filter(np.random.default_rng(seed), pairs, complex_taps),
+    st.integers(0, 2**32 - 1), st.integers(2, 5), st.booleans(),
+)
+
+
+class TestCascadeL2ClosedForm:
+    @settings(max_examples=30, deadline=None)
+    @given(h=FILTERS)
+    def test_closed_form_is_the_grid_l2_residual(self, h):
+        # squares are compared: Haar's residual is 0, and its square root would carry sqrt(rounding)
+        closed = l2_residuals_by_lawton(h, 0, 12)
+        assert np.max(np.abs(closed - l2_residuals_on_the_grid(h, 12, resolution=12))) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=FILTERS)
+    def test_simple_eigenvalue_one_is_l2_convergence(self, h):
+        # count 1 exactly when the rest of the spectrum lies inside the disk and the residual falls to 0
+        rho = second_eigenvalue_modulus(h)
+        n = int(np.ceil(np.log(1e-14) / np.log(rho))) if rho < 1 - 1e-6 else 1000
+        converges = rho < 1 - 1e-6 and abs(l2_residuals_by_lawton(h, n, 1)[0]) < 1e-10
+        assert (lawton_multiplicity(h) == 1) == converges
+
+    def test_triple_stretch_residual_stays_at_one(self):
+        h = stretched_haar(3)
+        assert l2_residuals_by_lawton(h, 0, 12) == pytest.approx(np.ones(12), abs=1e-12)
+        assert l2_residuals_by_lawton(h, 1000, 1)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestIntertwining:
