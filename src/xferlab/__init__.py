@@ -53,10 +53,8 @@ from .pathmeasure import (
     marginal_distribution,
     marginal_distribution_mc,
     multiplier_identity_residual,
-    q1_project,
     sample_paths,
     sigma_expectation,
-    v1_star,
     v2_star,
 )
 from .solenoid import (

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import EnsembleRequiredError, NotHarmonicError, CarrierMismatchError
 from .rng import chunks
 from .statespace import (
-    MAX_EXACT_DEPTH,  # noqa: F401  (re-exported: the cap of FiniteSpace.max_exact_depth)
     FiniteSpace,
     Measure,
     Observable,
@@ -95,10 +94,14 @@ class CylinderFunctional:
 
 
 def conditional_expectation(R: TransferOperator, f) -> Observable:
-    """E_bullet(f): x -> E_x(f) = phi_1 R(phi_2 R(... R(phi_n) ...))."""
+    """V1* f = E_bullet(f): x -> E_x(f) = phi_1 R(phi_2 R(... R(phi_n) ...)), the expectation given pi_1.
+
+    Exact for a cylinder word of any depth n, at a cost of n - 1 applications
+    of R; a black-box path function needs sampled paths (``PathEnsemble.functional_mean``).
+    """
+    if not isinstance(f, CylinderFunctional):
+        raise EnsembleRequiredError("black-box path functions require sampled paths; use PathEnsemble.functional_mean")
     _check_same(R.space, f.space)
-    if f.depth > R.space.max_exact_depth:
-        raise ValueError(f"exact cylinder depth is capped at {R.space.max_exact_depth}")
     psi = f.word[-1]
     for phi in reversed(f.word[:-1]):
         psi = phi * R.apply(psi)
@@ -191,7 +194,9 @@ def sample_paths(
     """
     if n < 1 or count < 1:
         raise ValueError(f"depth and count must be >= 1, got depth {n} and count {count}")
-    if not isinstance(root, Measure):
+    if isinstance(root, Measure):
+        _check_same(R.space, root.space)
+    else:
         root = R.space.point(root)
     return PathEnsemble(R.space, n, R.walk(root, n, count, seed), R.fingerprint())
 
@@ -229,28 +234,7 @@ def simulate_absorbing(
 
 
 # ---------------------------------------------------------------------------
-# the operator pair V1, V1* and friends
-
-
-def v1_star(R: TransferOperator, f, x=None):
-    """V1* f = E_bullet(f), the conditional expectation given pi_1.
-
-    Exact for cylinder words; a black-box path function needs an ensemble
-    (use PathEnsemble.functional_mean).
-    """
-    if callable(f) and not isinstance(f, CylinderFunctional):
-        raise EnsembleRequiredError(
-            "black-box path functions require sampled paths; use PathEnsemble.functional_mean"
-        )
-    obs = conditional_expectation(R, f)
-    return obs if x is None else obs(x)
-
-
-def q1_project(R: TransferOperator, mu: Measure | None, f) -> Observable:
-    """Q1 = V1 V1*: returns psi with Q1(f) = psi o pi_1."""
-    if mu is not None and not mu.full_support():
-        raise ValueError("conditional expectations require full-support mu")
-    return conditional_expectation(R, f)
+# the operator pair: V1* is conditional_expectation, V2* below
 
 
 def v2_star(R: TransferOperator, mu: Measure, f) -> Observable:
@@ -352,7 +336,6 @@ def _level_set(phi: Observable, t: float) -> Observable:
 @dataclass
 class HarmonicReport:
     harmonic_residual: float
-    martingale_residuals: list[float]
     absorbing_states: list[int]
     boundary_residual: float | None
     mc_estimate: float | None
@@ -363,26 +346,21 @@ class HarmonicReport:
 def harmonic_correspondence(
     R: TransferOperator,
     h: Observable,
-    depth: int = 6,
     mc_start: int | None = None,
     mc_count: int = 0,
     seed: int = 0,
 ) -> HarmonicReport:
     """Verify the martingale picture behind Rh = h.
 
-    Checks E_x(h o pi_{n+1}) = h(x) for n <= depth, and on absorbing finite
-    chains identifies the a.s. limit with the boundary-value function:
+    Checks Rh = h within 1e-10, so that E_x(h o pi_{n+1}) = (R^n h)(x) = h(x)
+    within n times that for a stochastic kernel; and on absorbing finite
+    chains identifies the a.s. limit of h(X_n) with the boundary-value function:
     E_x(h(X_absorption)) = h(x), exactly and optionally by Monte Carlo; a
     state that never absorbs raises ValueError (``harmonic_extension``).
     """
     resid = (R.apply(h) - h).coeff_norm()
     if not resid <= 1e-10:
         raise NotHarmonicError(f"Rh - h has residual {resid}")
-    one = Observable.constant(h.space, 1.0)
-    mart = []
-    for n in range(1, depth + 1):
-        word = CylinderFunctional((one,) * n + (h,))
-        mart.append((conditional_expectation(R, word) - h).coeff_norm())
 
     absorbing_states = R.absorbing_states()
     boundary_residual = None
@@ -398,7 +376,6 @@ def harmonic_correspondence(
             mc_estimate, mc_stderr = mean_stderr(values[finals])
     return HarmonicReport(
         harmonic_residual=float(resid),
-        martingale_residuals=[float(r) for r in mart],
         absorbing_states=absorbing_states,
         boundary_residual=boundary_residual,
         mc_estimate=mc_estimate,

@@ -32,10 +32,6 @@ from .errors import (
 
 DEFAULT_DEGREE = 64
 
-#: Exact cylinder computations on finite carriers are capped at this depth;
-#: cost per word is linear in depth but word batteries grow combinatorially.
-MAX_EXACT_DEPTH = 12
-
 
 @dataclass(frozen=True)
 class FiniteSpace:
@@ -48,8 +44,6 @@ class FiniteSpace:
 
     states: tuple
     endo: tuple | None = None
-
-    max_exact_depth = MAX_EXACT_DEPTH
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -124,8 +118,6 @@ class CircleSpace:
     """
 
     degree: int = DEFAULT_DEGREE
-
-    max_exact_depth = math.inf
 
     def __post_init__(self):
         if self.degree < 1:

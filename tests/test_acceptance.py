@@ -51,7 +51,7 @@ def test_criterion_01_kolmogorov_consistency(two_state):
 
 
 def test_criterion_02_coordinate_conditioning_is_operator_power(two_state):
-    """V1* against the (n+1)-th coordinate acts as R^n; same for the projection Q1."""
+    """V1* = E(.|pi_1) against the (n+1)-th coordinate acts as R^n; Q1 = V1 V1* is the same observable."""
     sp, R = two_state
     one = X.Observable.constant(sp, 1.0)
     worst = 0.0
@@ -59,10 +59,7 @@ def test_criterion_02_coordinate_conditioning_is_operator_power(two_state):
         for phi in (X.Observable.indicator(sp, 0), X.Observable.indicator(sp, 1)):
             word = X.CylinderFunctional((one,) * n + (phi,))
             rn = R.apply_power(phi, n)
-            worst = max(worst, float(np.max(np.abs(X.v1_star(R, word).values - rn.values))))
-            worst = max(
-                worst, float(np.max(np.abs(X.q1_project(R, None, word).values - rn.values)))
-            )
+            worst = max(worst, float(np.max(np.abs(X.conditional_expectation(R, word).values - rn.values))))
     _report("02-conditioning-powers", worst <= 1e-12)
 
 

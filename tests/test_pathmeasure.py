@@ -40,10 +40,9 @@ from xferlab import (
     ruelle_from_filter,
     sample_paths,
     sigma_expectation,
-    v1_star,
     v2_star,
 )
-from xferlab.pathmeasure import MAX_EXACT_DEPTH, default_word_battery
+from xferlab.pathmeasure import default_word_battery
 from xferlab.rng import CHUNK
 
 HAAR_M0 = {0: 2**-0.5, 1: 2**-0.5}
@@ -102,12 +101,15 @@ class TestCylinderExpectations:
         for f in default_word_battery(sp, max_depth=5, seed=2):
             assert consistency_residual(R, 0, f) < 1e-12
 
-    def test_depth_cap_enforced(self, two_state):
+    @pytest.mark.parametrize("depth", [13, 40])
+    def test_deep_words_are_operator_powers(self, two_state, depth):
+        """No depth cap: a word of any depth costs depth - 1 applications of R."""
         sp, R = two_state
         one = Observable.constant(sp, 1.0)
-        word = CylinderFunctional((one,) * (MAX_EXACT_DEPTH + 1))
-        with pytest.raises(ValueError):
-            conditional_expectation(R, word)
+        phi = Observable.from_values(sp, [1.0, -2.0])
+        word = CylinderFunctional((one,) * (depth - 1) + (phi,))
+        lhs = conditional_expectation(R, word)
+        assert np.max(np.abs(lhs.values - R.apply_power(phi, depth - 1).values)) < 1e-12
 
     def test_sigma_expectation_averages_the_root(self, two_state):
         sp, R = two_state
@@ -286,23 +288,30 @@ class TestEnsembleLayout:
                 sample_paths(R, bad, 3, 10, seed=1)
         assert sample_paths(R, "b", 3, 10, seed=1).samples[:, 0].tolist() == [1] * 10
 
+    @pytest.mark.parametrize("states", [("x", "y"), ("x", "y", "z")])
+    def test_measure_root_from_another_carrier_is_refused(self, two_state, states):
+        # the same state count too: a measure on (x, y) is not a measure on (a, b)
+        sp, R = two_state
+        with pytest.raises(CarrierMismatchError):
+            sample_paths(R, Measure.uniform(FiniteSpace(states)), 3, 10, seed=1)
+
 
 class TestOperatorPair:
     def test_v1_star_of_deep_coordinate_is_operator_power(self, two_state):
-        """V1* V_{n+1} = R^n on the indicator basis."""
+        """V1* V_{n+1} = R^n on the indicator basis; V1* is conditional_expectation."""
         sp, R = two_state
         one = Observable.constant(sp, 1.0)
         for n in range(6):
             for phi in (Observable.indicator(sp, 0), Observable.indicator(sp, 1)):
                 word = CylinderFunctional((one,) * n + (phi,))
-                lhs = v1_star(R, word)
+                lhs = conditional_expectation(R, word)
                 rhs = R.apply_power(phi, n)
                 assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
 
     def test_black_box_function_requires_ensemble(self, two_state):
         sp, R = two_state
         with pytest.raises(EnsembleRequiredError):
-            v1_star(R, lambda path: 1.0)
+            conditional_expectation(R, lambda path: 1.0)
 
     def test_multiplier_identity(self, two_state):
         sp, R = two_state
@@ -379,9 +388,8 @@ class TestHarmonicCorrespondence:
 
     def test_martingale_property(self, gambler):
         sp, R, h = gambler
-        rep = harmonic_correspondence(R, h, depth=8)
+        rep = harmonic_correspondence(R, h)
         assert rep.harmonic_residual < 1e-12
-        assert max(rep.martingale_residuals) < 1e-12
 
     def test_boundary_values_recover_h(self, gambler):
         sp, R, h = gambler
