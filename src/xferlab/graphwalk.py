@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NormalizationError
-from .pathmeasure import STEP_CAP, mean_stderr, simulate_absorbing
+from .pathmeasure import mean_stderr, simulate_absorbing
 from .statespace import FiniteSpace, Observable
 from .transferop import MatrixOperator
 
@@ -125,17 +125,16 @@ def hitting_verification(
     start: int,
     count: int,
     seed: int,
-    step_cap: int = STEP_CAP,
 ) -> HittingReport:
     """Compare h(start) with the Monte Carlo mean boundary value at absorption.
 
-    Walks still active after `step_cap` steps are counted in `capped` and
+    Walks still active after ``transferop.STEP_CAP`` steps are counted in `capped` and
     contribute their current (interior) value of h, so a nonzero cap count
     flags the estimate rather than hiding slow mixing.
     """
     h = harmonic_solve(net, boundary_values)
     kernel = transition_operator(net).kernel
-    finals, capped = simulate_absorbing(kernel, ~net._interior_mask(), start, count, seed, step_cap)
+    finals, capped = simulate_absorbing(kernel, ~net._interior_mask(), start, count, seed)
     estimate, stderr = mean_stderr(np.real(np.asarray(h.values))[finals])
     return HittingReport(
         exact=float(np.real(h.values[start])),
@@ -161,10 +160,8 @@ def path_network(conductances: Sequence[float]) -> Network:
     return Network(space, c, (0, n - 1))
 
 
-def random_network(
-    n: int, boundary_count: int, seed: int, edge_probability: float = 0.5
-) -> Network:
-    """Seeded random connected conductance network for property tests."""
+def random_network(n: int, boundary_count: int, seed: int) -> Network:
+    """Seeded random connected conductance network for property tests: each further edge with probability 1/2."""
     if not 1 <= boundary_count < n:
         raise ValueError("need at least one boundary and one interior vertex")
     rng = np.random.default_rng(seed)
@@ -174,7 +171,7 @@ def random_network(
         c[a, b] = c[b, a] = rng.uniform(0.5, 2.0)
     for i in range(n):
         for j in range(i + 1, n):
-            if c[i, j] == 0 and rng.random() < edge_probability:
+            if c[i, j] == 0 and rng.random() < 0.5:
                 c[i, j] = c[j, i] = rng.uniform(0.5, 2.0)
     boundary = tuple(int(b) for b in rng.choice(n, size=boundary_count, replace=False))
     space = FiniteSpace(tuple(f"v{i}" for i in range(n)))

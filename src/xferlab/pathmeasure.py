@@ -10,16 +10,16 @@ observables); everything else goes through seeded Monte Carlo ensembles.
 
 ``sample_paths`` runs the walker of its operator (``MatrixOperator.walk`` or
 ``CircleRuelleOperator.walk``).  On finite carriers that walker and
-``simulate_absorbing`` take one inverse-CDF step, defined in ``transferop``
-beside ``MatrixOperator``: from state x
-with a uniform draw u in [0, 1), the next state is the number of entries of
-row x of the cumulative table below u.  The table is the row-wise cumulative
-sum of K, pinned to 1.0 from the entry where the row reaches its total on, so
-a row whose float sum falls just short of 1 never yields index n or a state
-of probability zero.  The step finds the count by bisection, in
-ceil(log2 n) vectorised rounds; outside that rounding gap it returns exactly
-the index of the O(n) count, so the mapping from seed to paths is the one of
-xferlab 0.1.0.
+``simulate_absorbing``, both in ``transferop``, take one inverse-CDF step: from
+state x with a uniform draw u in [0, 1), the next state is the number of
+entries of row x of the cumulative table below u.  A mu-rooted walk draws its
+first state by the same step on the one-row table of mu.  The table is the
+row-wise cumulative sum of K, pinned to 1.0 from the entry where the row
+reaches its total on, so a row whose float sum falls just short of 1 never
+yields index n or a state of probability zero.  The step finds the count by
+bisection, in ceil(log2 n) vectorised rounds; outside that rounding gap it
+returns exactly the index of the O(n) count, so the mapping from seed to paths
+is the one of xferlab 0.1.0.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnsembleRequiredError, NotHarmonicError, CarrierMismatchError
-from .rng import chunks
 from .statespace import (
     FiniteSpace,
     Measure,
@@ -40,9 +39,7 @@ from .statespace import (
     _check_same,
     _require,
 )
-from .transferop import TransferOperator, _cdf_table, _next_states, adjoint_apply, stationarity_residual
-
-STEP_CAP = 10**6
+from .transferop import TransferOperator, adjoint_apply, simulate_absorbing, stationarity_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,38 +198,6 @@ def sample_paths(
     return PathEnsemble(R.space, n, R.walk(root, n, count, seed), R.fingerprint())
 
 
-def simulate_absorbing(
-    kernel: np.ndarray,
-    absorbing: np.ndarray,
-    start: int,
-    count: int,
-    seed: int,
-    step_cap: int = STEP_CAP,
-) -> tuple[np.ndarray, int]:
-    """Run walks from `start` until they hit an absorbing state or the step cap.
-
-    Returns (final state per walk, number of walks that hit the cap); capped walks are reported,
-    never silently dropped.  A start outside [0, n) or a count below 1 raises ValueError.
-    """
-    if not 0 <= start < len(kernel) or count < 1:
-        raise ValueError(f"need a start index in [0, {len(kernel)}) and a count >= 1, got start {start}, count {count}")
-    table = _cdf_table(kernel)
-    finals = np.empty(count, dtype=np.intp)
-    capped = 0
-    for rows, rng in chunks(count, seed):
-        x = np.full(rows.stop - rows.start, int(start), dtype=np.intp)
-        active = ~absorbing[x]
-        steps = 0
-        while np.any(active) and steps < step_cap:
-            idx = np.nonzero(active)[0]
-            x[idx] = _next_states(table, x[idx], rng.random(idx.size))
-            active[idx] = ~absorbing[x[idx]]
-            steps += 1
-        capped += int(np.count_nonzero(active))
-        finals[rows] = x
-    return finals, capped
-
-
 # ---------------------------------------------------------------------------
 # the operator pair: V1* is conditional_expectation, V2* below
 
@@ -249,12 +214,9 @@ def v2_star(R: TransferOperator, mu: Measure, f) -> Observable:
     return out
 
 
-def multiplier_identity_residual(
-    R: TransferOperator, mu: Measure, words, rho: Observable | None = None
-) -> float:
+def multiplier_identity_residual(R: TransferOperator, mu: Measure, words) -> float:
     """Max residual of V2*(f o sigma) = rho E_bullet(f) with rho = R* 1."""
-    if rho is None:
-        rho = adjoint_apply(R, mu, Observable.constant(R.space, 1.0))
+    rho = adjoint_apply(R, mu, Observable.constant(R.space, 1.0))
     res = 0.0
     for f in words:
         lhs = v2_star(R, mu, f.shifted())
@@ -263,13 +225,13 @@ def multiplier_identity_residual(
     return res
 
 
-def characterization_check(mu: Measure, R: TransferOperator, words=None, seed: int = 23) -> float:
-    """Max residual of E_x(f o sigma) = (R E_bullet(f))(x) over a word battery.
+def characterization_check(mu: Measure, R: TransferOperator, words=None) -> float:
+    """Max residual of E_x(f o sigma) = (R E_bullet(f))(x) over a word battery (default: ``default_word_battery``).
 
     Zero certifies that Sigma is induced by the pair (mu, R).
     """
     if words is None:
-        words = default_word_battery(R.space, seed=seed)
+        words = default_word_battery(R.space)
     res = 0.0
     for f in words:
         lhs = conditional_expectation(R, f.shifted())

@@ -211,12 +211,10 @@ def group_translation_invariance(
     return float(res)
 
 
-def random_solenoid_translate(
-    space: CircleSpace, depth: int, seed: int, max_denominator: int = 12
-) -> SolenoidWord:
-    """A random rational solenoid word: pick t_1 = p/q, then backward branches."""
+def random_solenoid_translate(space: CircleSpace, depth: int, seed: int) -> SolenoidWord:
+    """A random rational solenoid word: pick t_1 = p/q with q <= 12, then backward branches."""
     rng = np.random.default_rng(seed)
-    q = int(rng.integers(1, max_denominator + 1))
+    q = int(rng.integers(1, 13))
     t = Fraction(int(rng.integers(0, q)), q)
     entries = [t % 1]
     for _ in range(depth - 1):

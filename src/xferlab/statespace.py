@@ -15,7 +15,6 @@ entry; README.md says which identities on it are exact in floating point.
 from __future__ import annotations
 
 import cmath
-import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,30 +182,24 @@ class CircleSpace:
     def incompatible_transitions(words) -> int:
         """Transitions x_k -> x_{k+1} with 2 x_{k+1} != x_k (mod 1) in equal-length angle words.
 
-        Over D, a common multiple of a word's denominators, angles in [0, 1) are
-        numerators N in [0, D), and 2 x_{k+1} = x_k (mod 1) iff (2 N_{k+1} - N_k)
-        mod D = 0.  Every term is below 2D.  While twice the lcm of all
-        denominators is below 2^63 it is the one D and the count runs on int64;
-        beyond, each word is written over the lcm of its own denominators on
-        Python ints, so the cost stays linear in the entries however many
-        unrelated denominators the words carry.
+        For x_{k+1} = p/q in lowest terms, 2 x_{k+1} mod 1 in lowest terms is (2p mod q)/q
+        for odd q and (p mod q/2)/(q/2) for even q, and the transition is compatible iff
+        that is x_k mod 1 in lowest terms.  No common denominator is formed, so the cost is
+        linear in the entries.  Numerators are reduced mod q first, so the count runs on
+        int64 while every denominator is below 2^62, and on Python ints otherwise.
         """
         x = np.asarray(words, dtype=object)
         if not x.size:
             return 0
         flat = x.ravel().tolist()
         den = [t.denominator for t in flat]
-        D, dtype = 1, np.int64
-        for q in set(den):
-            D = math.lcm(D, q)
-            if 2 * D >= 2**63:
-                m = x.shape[1]
-                D = np.array([[math.lcm(*den[i:i + m])] for i in range(0, len(den), m)], dtype=object)
-                dtype = object
-                break
-        num = np.array([t.numerator for t in flat], dtype).reshape(x.shape)
-        num *= D // np.array(den, dtype).reshape(x.shape)
-        return int(np.count_nonzero((2 * num[:, 1:] - num[:, :-1]) % D))
+        dtype = np.int64 if max(den) < 2**62 else object
+        q = np.array(den, dtype).reshape(x.shape)
+        p = np.array([t.numerator for t in flat], dtype).reshape(x.shape) % q
+        odd = q[:, 1:] & 1
+        half = q[:, 1:] >> (1 - odd)  # the denominator of 2 x_{k+1}: q, or q / 2 for even q
+        twice = (p[:, 1:] << odd) % half
+        return int(np.count_nonzero((twice != p[:, :-1]) | (half != q[:, :-1])))
 
 
 Space = Union[FiniteSpace, CircleSpace]

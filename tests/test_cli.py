@@ -1,5 +1,6 @@
 """CLI: config validation, report shape, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -339,6 +340,30 @@ class TestTasks:
         assert code == 0
         assert report["count"] == 2000
         assert len(csv_path.read_text().strip().splitlines()) == 2001
+
+    def test_sample_rooted_at_a_measure(self, tmp_path):
+        # the first state takes the chain's inverse-CDF step on the one-row table of mu; the CSV digest was
+        # recorded when it was drawn by rng.choice(p=mu), which gives the same states outside the rounding gap
+        word = [{"values": [1, 0]}] * 3
+        cfg = {"space": TWO_STATE, "operator": CHAIN_OP, "root": {"kind": "weights", "weights": [0.25, 0.75]},
+               "depth": 3, "count": 2000, "seed": 5, "word": word}
+        csv_path = tmp_path / "paths.csv"
+        code, report = run(tmp_path, "sample", cfg, extra=["--csv", str(csv_path)])
+        assert code == 0
+        space = xferlab.FiniteSpace(("a", "b"))
+        R = xferlab.MatrixOperator(space, CHAIN_OP["rows"])
+        f = xferlab.CylinderFunctional((xferlab.Observable.from_values(space, [1, 0]),) * 3)
+        assert report["exact"] == xferlab.sigma_expectation(xferlab.Measure.from_weights(space, [0.25, 0.75]), R, f)
+        digest = "50ec6826fca8df086e1861fdcb1b0c7131c3e04dc60d8b48f18cacb051dbbe1e"
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+    def test_expectation_under_a_point_measure_is_the_cylinder_expectation(self, tmp_path):
+        cfg = {"space": TWO_STATE, "operator": CHAIN_OP, "word": [{"values": [0, 1]}, {"values": [1, 0]}]}
+        code, at_point = run(tmp_path, "expectation", {**cfg, "point": "b"})
+        assert code == 0
+        code, under_measure = run(tmp_path, "expectation", {**cfg, "measure": {"kind": "point", "state": "b"}})
+        assert code == 0
+        assert under_measure["expectation"] == at_point["expectation"] == 0.5
 
     def test_sample_csv_reuses_the_reported_ensemble(self, tmp_path, monkeypatch):
         from xferlab import pathmeasure

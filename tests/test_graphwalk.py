@@ -23,6 +23,7 @@ from xferlab import (
     random_network,
     transition_operator,
 )
+from xferlab import transferop
 
 
 class TestNetworkValidation:
@@ -176,9 +177,8 @@ class TestHitting:
         assert rep.capped == 0
         assert abs(rep.estimate - rep.exact) < 4 * rep.stderr
 
-    def test_step_cap_is_reported(self):
+    def test_step_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(transferop, "STEP_CAP", 2)
         net = path_network([1.0] * 6)
-        rep = hitting_verification(
-            net, {0: 0.0, 6: 1.0}, start=3, count=200, seed=1, step_cap=2
-        )
+        rep = hitting_verification(net, {0: 0.0, 6: 1.0}, start=3, count=200, seed=1)
         assert rep.capped > 0

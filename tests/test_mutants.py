@@ -64,9 +64,7 @@ def circle_walk_swapped(mp):
 def finite_walk_shifted(mp):
     """The finite sampling table shifted by one row: a walk at state x draws from row x - 1 of K."""
     orig = transferop._cdf_table
-    shifted = lambda kernel: np.roll(orig(kernel), 1, axis=0)  # noqa: E731
-    mp.setattr(transferop, "_cdf_table", shifted)
-    mp.setattr(pathmeasure, "_cdf_table", shifted)
+    mp.setattr(transferop, "_cdf_table", lambda kernel: np.roll(orig(kernel), 1, axis=0))
 
 
 def compose_odd(mp):
@@ -103,9 +101,7 @@ def tap_negated(mp):
 
 def step_cap_one(mp):
     """Hitting walks stopped after one step: a step cap of 1 in place of STEP_CAP."""
-    orig = pathmeasure.simulate_absorbing
-    mp.setattr(graphwalk, "simulate_absorbing",
-               lambda kernel, absorbing, start, count, seed, step_cap: orig(kernel, absorbing, start, count, seed, 1))
+    mp.setattr(transferop, "STEP_CAP", 1)
 
 
 def unweighted_walk(mp):

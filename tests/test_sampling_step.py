@@ -36,10 +36,10 @@ from xferlab import (
 )
 from xferlab.cli import main
 from xferlab.graphwalk import hitting_verification, path_network
-from xferlab.pathmeasure import _cdf_table, _next_states, harmonic_correspondence, simulate_absorbing
+from xferlab.pathmeasure import harmonic_correspondence, simulate_absorbing
 from xferlab.rng import CHUNK, chunks
 from xferlab.statespace import Observable
-from xferlab.transferop import CERTIFICATE_C, _closed_classes
+from xferlab.transferop import CERTIFICATE_C, _cdf_table, _closed_classes, _next_states
 
 from test_closed_forms import lattice_filter
 

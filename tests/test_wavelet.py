@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xferlab import (
@@ -254,10 +254,20 @@ def l2_residuals_on_the_grid(h: QMFFilter, iterations: int, resolution: int) -> 
     return np.array(out)
 
 
-def second_eigenvalue_modulus(h: QMFFilter) -> float:
-    """The largest |lambda| of the Lawton matrix once one eigenvalue nearest to 1 is set aside."""
-    ev = np.linalg.eigvals(_lawton_matrix(h))
-    return float(np.max(np.abs(np.delete(ev, np.argmin(np.abs(ev - 1))))))
+def spectral_gap(h: QMFFilter) -> tuple[float, float]:
+    """Oracle: 1 - |lambda_2| and the error bound of lambda_2, the largest |lambda| of the Lawton matrix
+    once one eigenvalue nearest to 1 is set aside.
+
+    The bound is the first-order one, n eps ||T||_2 kappa, with kappa = ||x|| ||y|| / |y^H x| the
+    condition number of lambda_2 from its right and left eigenvectors (Wilkinson); the left ones are
+    the rows of V^-1, so y^H x = 1.
+    """
+    t = _lawton_matrix(h)
+    ev, v = np.linalg.eig(t)
+    rest = np.delete(np.arange(len(ev)), np.argmin(np.abs(ev - 1)))
+    i = rest[np.argmax(np.abs(ev[rest]))]
+    kappa = np.linalg.norm(v[:, i]) * np.linalg.norm(np.linalg.inv(v)[i])
+    return float(1 - abs(ev[i])), float(len(t) * np.finfo(float).eps * np.linalg.norm(t, 2) * kappa)
 
 
 NAMED_FILTERS = {"haar": haar_filter(), "d4": daubechies4(), "stretched-haar-3": stretched_haar(3),
@@ -278,11 +288,21 @@ class TestCascadeL2ClosedForm:
 
     @settings(max_examples=200, deadline=None)
     @given(h=FILTERS)
+    # |lambda_2| = 1 - 1.6e-7: the cascade converges in L2, but its residual is still 0.85 after 10^6 steps
+    @example(h=lattice_filter(np.random.default_rng(4277), 2, False))
+    # the named filters keep their verdicts (TestLawtonCount pins stretched Haar 3 at count 2)
+    @example(h=NAMED_FILTERS["haar"])
+    @example(h=NAMED_FILTERS["d4"])
+    @example(h=NAMED_FILTERS["lattice-draw-0"])
+    @example(h=NAMED_FILTERS["stretched-haar-3"])
     def test_simple_eigenvalue_one_is_l2_convergence(self, h):
-        # count 1 exactly when the rest of the spectrum lies inside the disk and the residual falls to 0
-        rho = second_eigenvalue_modulus(h)
-        n = int(np.ceil(np.log(1e-14) / np.log(rho))) if rho < 1 - 1e-6 else 1000
-        converges = rho < 1 - 1e-6 and abs(l2_residuals_by_lawton(h, n, 1)[0]) < 1e-10
+        # count 1 exactly when the rest of the spectrum lies strictly inside the disk, at a gap above the
+        # error bound of the eigenvalue computation; where the gap exceeds 1e-6, the residual must fall to 0
+        gap, err = spectral_gap(h)
+        converges = gap > err
+        if gap > 1e-6:
+            n = int(np.ceil(np.log(1e-14) / np.log(1 - gap)))
+            converges = converges and abs(l2_residuals_by_lawton(h, n, 1)[0]) < 1e-10
         assert (lawton_multiplicity(h) == 1) == converges
 
     def test_triple_stretch_residual_stays_at_one(self):
