@@ -89,7 +89,7 @@ def run_expectation(cfg):
 def run_sample(cfg):
     depth = field(cfg, "depth", int, minimum=1)
     count = field(cfg, "count", int, minimum=1)
-    seed = field(cfg, "seed", int)
+    seed = field(cfg, "seed", int, minimum=0)
     level = field(cfg, "sigma_level", float, 4.0)
     space, R = _load_chain(cfg)
     word = field(cfg, "word", list, None)
@@ -163,6 +163,8 @@ def run_cascade(cfg):
         "integral": sf.integral(),
         "refinement_residuals": sf.refinement_residuals,
         "orthogonality_grid": {str(k): [v.real, v.imag] for k, v in sorted(a_grid.items())},
+        # past `resolution` iterations the grid aliases the iterate: the three keys above describe the alias
+        "grid_holds_iterate": iterations <= resolution,
     }
     try:  # a QMF cascade keeps the exact correlations T^n delta = delta, so only Lawton's count can fail
         count = wavelet.lawton_multiplicity(h)
@@ -196,7 +198,7 @@ def run_representation(cfg):
 
 def run_harmonic(cfg):
     count = field(cfg, "count", int, 0, minimum=0)
-    seed = field(cfg, "seed", int, None)
+    seed = field(cfg, "seed", int, None, minimum=0)
     start = field(cfg, "start", int, None)
     level = field(cfg, "sigma_level", float, 4.0)
     boundary = field(cfg, "boundary", int, dims=1)

@@ -116,7 +116,6 @@ class HittingReport:
     estimate: float
     stderr: float
     capped: int
-    count: int
 
 
 def hitting_verification(
@@ -141,7 +140,6 @@ def hitting_verification(
         estimate=estimate,
         stderr=stderr,
         capped=capped,
-        count=count,
     )
 
 

@@ -266,9 +266,9 @@ def correlation(mu: Measure, R: TransferOperator, phi: Observable, psi: Observab
 
 
 def correlation_mc(ensemble: PathEnsemble, phi: Observable, psi: Observable, n: int, k: int):
-    """Monte Carlo E(X_n(phi) X_{n+k}(psi)) from a mu-rooted ensemble."""
-    if ensemble.depth < n + k:
-        raise ValueError("ensemble depth too small for the requested lag")
+    """Monte Carlo E(X_n(phi) X_{n+k}(psi)) from a mu-rooted ensemble; coordinates count from n = 1."""
+    if not 1 <= n <= n + k <= ensemble.depth:
+        raise ValueError(f"need n >= 1 and k >= 0 with n + k <= depth {ensemble.depth}, got n = {n}, k = {k}")
     word = [Observable.constant(phi.space, 1.0)] * (n + k)
     word[n - 1] = phi
     word[n + k - 1] = word[n + k - 1] * psi
@@ -277,10 +277,14 @@ def correlation_mc(ensemble: PathEnsemble, phi: Observable, psi: Observable, n: 
 
 def marginal_distribution(mu: Measure, R: TransferOperator, phi: Observable, t: float, n: int):
     """Sigma({phi o pi_n <= t}) = int R^{n-1} chi_{phi <= t} dmu; n-independent when mu is stationary."""
+    if n < 1:  # pi_1 is the first coordinate of a path
+        raise ValueError(f"n must be >= 1, got {n}")
     return integrate(mu, R.apply_power(_level_set(phi, t), n - 1))
 
 
 def marginal_distribution_mc(ensemble: PathEnsemble, phi: Observable, t: float, n: int):
+    if n < 1:  # pi_1 is the first coordinate of a path
+        raise ValueError(f"n must be >= 1, got {n}")
     word = (Observable.constant(phi.space, 1.0),) * (n - 1) + (_level_set(phi, t),)
     return ensemble.functional_mean(CylinderFunctional(word))
 

@@ -14,7 +14,6 @@ entry; README.md says which identities on it are exact in floating point.
 
 from __future__ import annotations
 
-import cmath
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,11 +204,6 @@ class CircleSpace:
 Space = Union[FiniteSpace, CircleSpace]
 
 
-def angle_point(t: Fraction | float) -> complex:
-    """e^{2 pi i t}."""
-    return cmath.exp(2j * cmath.pi * float(t))
-
-
 def _check_same(a: Space, b: Space) -> None:
     if a != b:
         raise CarrierMismatchError(f"carriers differ: {a!r} vs {b!r}")
@@ -267,12 +261,16 @@ def horner(coeffs: np.ndarray, offset: int, z):
     """sum_j coeffs[j] z^(offset + j) at one unit-modulus point z or an array of them.
 
     Horner's rule runs over the coefficients and is vectorised across the
-    points, so memory stays O(points) at any degree.
+    points, so memory stays O(points) at any degree.  A point is evaluated as a
+    one-entry array: numpy rounds scalar and array products differently, and a
+    point must get the bits it gets inside an array.
     """
+    z = np.asarray(z)
+    pts = np.atleast_1d(z)
     acc = 0j
     for c in reversed(coeffs.tolist()):
-        acc = acc * z + c
-    return acc * z**offset
+        acc = acc * pts + c
+    return (acc * pts**offset).reshape(z.shape)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,14 +350,11 @@ class Observable:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate at a point, or elementwise on an array of points: state indices
-        (finite), or angles or unit-modulus complex numbers (circle)."""
+        """Evaluate at a point, or elementwise on an array of points: state indices (finite), or angles
+        or unit-modulus complex numbers (circle) by ``horner``; a scalar in gives a scalar out."""
         if self.values is not None:
             return self.values[x]
-        if isinstance(x, np.ndarray):
-            z = x if np.iscomplexobj(x) else np.exp(2j * np.pi * x.astype(float))
-        else:
-            z = x if isinstance(x, complex) else angle_point(x)
+        z = x if np.iscomplexobj(x) else np.exp(2j * np.pi * np.asarray(x, dtype=float))
         return horner(self.coeffs, self.offset, z)
 
     def eval_grid(self, size: int | None = None) -> np.ndarray:
@@ -367,8 +362,7 @@ class Observable:
         if self.coeffs is None:
             raise TypeError("eval_grid is only defined on the circle carrier")
         size = size or self.space.grid
-        z = np.exp(2j * np.pi * np.arange(size) / size)
-        return horner(self.coeffs, self.offset, z)
+        return self(np.arange(size) / size)
 
     # -- algebra -----------------------------------------------------------
 

@@ -14,7 +14,6 @@ validated at construction.  Both finite walkers, ``MatrixOperator.walk`` and
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import warnings
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from .statespace import (
     FiniteSpace,
     Measure,
     Observable,
-    angle_point,
     coeffs_at,
     compose_with_endo,
     convolve,
@@ -244,8 +242,8 @@ def _next_states(table: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 class CircleRuelleOperator(TransferOperator):
     """Ruelle operator for the doubling map with weight W (W = |m0|^2 / 2 for a filter m0).
 
-    ``weight`` holds the Fourier coefficients of W.  ``apply`` and
-    ``adjoint_apply`` convolve with a dense copy of W; the walk reads ``weight``.
+    W is held once, as the dense array ``_w`` from index ``_w_offset``: ``weight``, a map n -> W_n in
+    any key order, becomes the index-ordered view of it, and every value of W is ``weight_at``.
     """
 
     space: CircleSpace
@@ -253,17 +251,15 @@ class CircleRuelleOperator(TransferOperator):
 
     def __post_init__(self):
         _require(self.space, CircleSpace, "a Ruelle operator with a trig-polynomial weight")
-        w = {int(n): complex(c) for n, c in self.weight.items() if c != 0}
-        object.__setattr__(self, "weight", w)
-        dense, offset = dense_coeffs(w)
+        dense, offset = dense_coeffs(self.weight)
+        object.__setattr__(self, "_w", dense)
+        object.__setattr__(self, "_w_offset", offset)
+        object.__setattr__(self, "weight", sparse_coeffs(dense, offset))
         # unitality: (R 1)_k = 2 W_{2k} must be the delta at 0, W_0 = 1/2 included
         for k, c in {0: 0j, **sparse_coeffs(*even_gather(dense, offset))}.items():
             if not abs(c - (0.5 if k == 0 else 0.0)) <= UNITALITY_TOL:
                 raise NormalizationError(f"weight violates R1=1: coefficient W_{2 * k} = {c}")
-        object.__setattr__(self, "_w", dense)
-        object.__setattr__(self, "_w_offset", offset)
-        grid = self.space.grid
-        vals = horner(dense, offset, np.exp(2j * np.pi * np.arange(grid) / grid))
+        vals = self.weight_at(np.arange(self.space.grid) / self.space.grid)
         if not np.all((np.abs(vals.imag) <= POSITIVITY_TOL) & (vals.real >= -POSITIVITY_TOL)):
             raise NormalizationError("weight must be real and nonnegative on the grid")
 
@@ -273,21 +269,26 @@ class CircleRuelleOperator(TransferOperator):
         g, k0 = even_gather(convolve(self._w, phi.coeffs), self._w_offset + phi.offset)
         return Observable.from_coeffs(self.space, 2 * g, k0)
 
-    def weight_at(self, t) -> float:
-        z = angle_point(t)
-        return float(sum(c * z**n for n, c in self.weight.items()).real)
+    def weight_at(self, t):
+        """W at an angle or elementwise on an array of angles: ``horner`` at e^{2 pi i t}, complex."""
+        return horner(self._w, self._w_offset, np.exp(2j * np.pi * np.asarray(t, dtype=float)))
+
+    def _branch_probabilities(self, pre: np.ndarray) -> np.ndarray:
+        """P(u0), P(u1) for each row (u0, u1) of an (m, 2) array of preimage angles: W at each, normalised."""
+        w = self.weight_at(pre).real
+        total = w.sum(axis=1)
+        if not np.all(np.abs(total - 1.0) <= 1e-8):
+            raise NormalizationError(f"transition weights sum to {total.min()}..{total.max()}, expected 1")
+        return w / total[:, None]
 
     def transition_weights(self, t: Fraction) -> tuple[tuple[Fraction, float], ...]:
         """Backward-branch angles u with u^2 = e^{2 pi i t} and their probabilities."""
         pre = CircleSpace.preimages(Fraction(t))
-        w = [self.weight_at(u) for u in pre]
-        total = sum(w)
-        if not abs(total - 1.0) <= 1e-8:
-            raise NormalizationError(f"transition weights sum to {total}, expected 1")
-        return tuple((u, wi / total) for u, wi in zip(pre, w))
+        p = self._branch_probabilities(np.array([pre], dtype=object))[0]
+        return tuple(zip(pre, p.tolist()))
 
     def fingerprint(self) -> str:
-        items = sorted((n, c.real, c.imag) for n, c in self.weight.items())
+        items = [(n, c.real, c.imag) for n, c in self.weight.items()]
         h = hashlib.sha256(repr(items).encode())
         return "ruelle:" + h.hexdigest()[:16]
 
@@ -329,24 +330,23 @@ class CircleRuelleOperator(TransferOperator):
     def walk(self, t0, n: int, count: int, seed: int) -> np.ndarray:
         """The (count, n) angles of ``sample_paths`` from t0: from t to a square root of it, weighted by W.
 
-        Exact Fraction angles, one step per coordinate over the distinct angles: path i is at
-        ``angles[k[i]]``, takes child 2k (u0) iff its draw is below p0 and else 2k + 1; the
-        children of distinct angles are distinct, so ``np.unique`` compacts them exactly.
+        Exact Fraction angles, one step per coordinate over the distinct angles: path i is at ``angles[k[i]]``,
+        whose preimages, row k[i] of ``pre``, get W from one ``weight_at`` call; it takes child 2k (u0) iff its
+        draw is below p0 and else 2k + 1, and ``np.unique`` compacts the children, distinct as their parents.
         """
         if isinstance(t0, Measure):
             raise ValueError("mu-rooted sampling is not supported on the circle carrier")
-        branches = functools.cache(self.transition_weights)  # a walk revisits few angles
         out = np.full((count, n), t0, dtype=object)
         for rows, rng in chunks(count, seed):
             block = out[rows]
             u = rng.random((len(block), max(n - 1, 1)))
-            angles, k = [t0], np.zeros(len(block), dtype=np.intp)
+            angles, k = np.array([t0], dtype=object), np.zeros(len(block), dtype=np.intp)
             for step in range(n - 1):
-                split = [branches(t) for t in angles]
-                p0 = np.array([p for (_u0, p), _b1 in split])
+                pre = np.stack([angles / 2, (angles + 1) / 2], axis=1)
+                p0 = self._branch_probabilities(pre)[:, 0]
                 child, k = np.unique(2 * k + (u[:, step] >= p0[k]), return_inverse=True)
-                angles = [split[c >> 1][c & 1][0] for c in child.tolist()]
-                block[:, step + 1] = np.fromiter(angles, object, len(angles))[k]
+                angles = pre.ravel()[child]
+                block[:, step + 1] = angles[k]
         return out
 
 
@@ -368,12 +368,12 @@ def ruelle_from_filter(
     space: CircleSpace, m0: Mapping[int, complex]
 ) -> CircleRuelleOperator:
     """Ruelle operator with QMF weight W = |m0|^2 / 2 from filter coefficients."""
-    m = {int(n): complex(c) for n, c in m0.items() if c != 0}
-    # W_{n-k} accumulates m_n conj(m_k) in this loop order: weight_at sums W in
-    # dict order, and the sampled paths depend on the bits of its values
+    m = sorted({int(n): complex(c) for n, c in m0.items() if c != 0}.items())
+    # W_{n-k} accumulates m_n conj(m_k) over the taps in index order, so the bits of W do not
+    # depend on the key order of m0 (np.convolve sums in another order and moves D4's last bits)
     acf: dict[int, complex] = {}
-    for n, a in m.items():
-        for k, b in m.items():
+    for n, a in m:
+        for k, b in m:
             acf[n - k] = acf.get(n - k, 0) + a * b.conjugate()
     weight = {n: c / 2 for n, c in acf.items() if c != 0}
     return CircleRuelleOperator(space, weight)

@@ -161,7 +161,8 @@ SCHEMA = {
         ("sample", "depth", 0), ("sample", "count", 0), ("solenoid", "depth", 0), ("smale-williams", "steps", 0),
         ("cascade", "iterations", -1), ("cascade", "resolution", 0), ("representation", "depth", 0),
         ("representation", "levels", -1), ("representation", "max_char", 0), ("representation", "degree", 0),
-        ("harmonic", "count", -1), ("harmonic", "vertices", 1), ("qmf", "grid", 0))},
+        ("harmonic", "count", -1), ("harmonic", "vertices", 1), ("qmf", "grid", 0), ("sample", "seed", -1),
+        ("harmonic", "seed", -1))},
     "lags-negative": _with("correlate", lags=[0, -1]) + ("lags[1]",),
     "point-past-the-end-named": _with("expectation", point=5) + ("point: ",),
     "root-a-pair": _with("sample", root=[1, 3]) + ("root: ",),
@@ -441,6 +442,14 @@ class TestTasks:
         assert [c["name"] for c in report["claims"]] == ["lawton_simple_eigenvalue"]
         assert len(report["refinement_residuals"]) == iterations
         assert {"integral", "orthogonality_grid"} <= report.keys()
+
+    @pytest.mark.parametrize("iterations, resolution, holds", [(12, 10, False), (10, 10, True)])
+    def test_cascade_reports_whether_the_grid_holds_the_iterate(self, tmp_path, iterations, resolution, holds):
+        # report data, not a claim: more iterations than the resolution still exit 0 on an orthonormal filter
+        cfg = {"filter": {"coeffs": LATTICE_DRAWS[0]}, "iterations": iterations, "resolution": resolution}
+        code, report = run(tmp_path, "cascade", cfg)
+        assert report["grid_holds_iterate"] is holds
+        assert code == 0 and [c["name"] for c in report["claims"]] == ["lawton_simple_eigenvalue"]
 
     @pytest.mark.parametrize("tap", [0.7071067811865475, 0.7071067811865476])
     def test_even_stretch_fails_the_grid_claim_for_both_roundings(self, tmp_path, tap):

@@ -377,6 +377,27 @@ class TestCorrelations:
         mean, stderr = marginal_distribution_mc(ens, phi, 0.5, 5)
         assert abs(mean - 2 / 3) < 4 * stderr
 
+    # these used to return numbers: on the indicator of state a, 0.6675 at n = 0, k = 2 (exact 0.458)
+    # and 0.512 at n = -1, k = 3 (exact 0.448); n = 0, k = 0 raised a bare IndexError
+    @pytest.mark.parametrize("n, k", [(0, 2), (-1, 3), (0, 0), (1, -1)])
+    def test_mc_correlation_refuses_a_coordinate_below_one(self, two_state, n, k):
+        sp, R = two_state
+        ens = sample_paths(R, invariant_measure(R), 4, 2000, seed=1)
+        chi = Observable.indicator(sp, 0)
+        with pytest.raises(ValueError, match=f"n >= 1 and k >= 0 .*, got n = {n}, k = {k}"):
+            correlation_mc(ens, chi, chi, n, k)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_marginal_distribution_refuses_a_coordinate_below_one(self, two_state, n):
+        sp, R = two_state
+        mu = invariant_measure(R)
+        phi = Observable.from_values(sp, [0.0, 1.0])
+        ens = sample_paths(R, mu, 4, 2000, seed=1)
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            marginal_distribution(mu, R, phi, 0.5, n)
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):  # n = 0 used to read the n = 1 marginal
+            marginal_distribution_mc(ens, phi, 0.5, n)
+
 
 class TestHarmonicCorrespondence:
     @pytest.fixture

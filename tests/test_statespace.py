@@ -1,5 +1,7 @@
 """Carrier-level algebra: observables, measures, endomorphism composition."""
 
+import cmath
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -25,7 +27,6 @@ from xferlab import (
     strong_invariance_check,
 )
 from xferlab.serialize import space_from_json
-from xferlab.statespace import angle_point
 
 
 def convolve_coeffs(a, b) -> dict[int, complex]:
@@ -135,7 +136,7 @@ class TestObservableAlgebra:
     def test_convolution_matches_pointwise_product(self, coeffs):
         other = {0: 1.0, 2: -0.5j}
         prod = convolve_coeffs(coeffs, other)
-        z = angle_point(0.123)
+        z = cmath.exp(2j * cmath.pi * 0.123)
         lhs = sum(c * z**n for n, c in prod.items())
         a = sum(c * z**n for n, c in coeffs.items())
         b = sum(c * z**n for n, c in other.items())
@@ -319,6 +320,18 @@ class TestDenseLayout:
         assert Observable.from_fourier(sp, {3: 0.0, -1: 2.0}).fourier == {-1: 2.0}
         with pytest.raises(DegreeOverflowError):
             Observable.from_coeffs(sp, np.array([0, 1, 0, 1]), 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        coeffs=st.lists(st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False), min_size=1,
+                        max_size=9),
+        offset=st.integers(-8, 0),
+        t=st.integers(1, 2**40).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q))),
+    )
+    def test_a_point_evaluates_to_its_bits_in_an_array(self, coeffs, offset, t):
+        phi = Observable.from_coeffs(CircleSpace(degree=16), coeffs, offset)
+        value = phi(t)
+        assert np.ndim(value) == 0 and value == phi(np.array([t]))[0]
 
     def test_evaluation_is_horner_over_the_coefficients(self):
         sp = CircleSpace(degree=300)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xferlab import (
     CircleSpace,
@@ -15,16 +17,21 @@ from xferlab import (
     QMFFilter,
     ReducibleChainWarning,
     adjoint_apply,
+    daubechies4,
+    haar_filter,
     inner_product,
     invariant_measure,
     kernel_operator,
     pullout_check,
     ruelle_from_endo,
     ruelle_from_filter,
+    sample_paths,
     stationarity_residual,
     uniform_circle_operator,
 )
 from xferlab.transferop import CircleRuelleOperator, composition_isometry_residual
+
+from test_closed_forms import lattice_filter
 
 HAAR_M0 = {0: 2**-0.5, 1: 2**-0.5}
 
@@ -152,6 +159,45 @@ class TestCircleRuelleOperator:
         assert composition_isometry_residual(HAAR_M0, circle) < 1e-12
         bad = {0: 1.0, 1: 2**0.5 - 1}  # normalized sum but not QMF
         assert composition_isometry_residual(bad, circle) > 1e-3
+
+
+FILTERS = st.one_of(st.sampled_from([haar_filter(), daubechies4()]),
+                    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3).map(lattice_filter))
+ANGLES = st.integers(1, 2**40).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
+
+
+def assert_one_operator(R, S, root):
+    """One fingerprint, bit-equal branch probabilities (the walk's input) and identical sampled paths."""
+    assert R.fingerprint() == S.fingerprint()
+    assert R.transition_weights(root) == S.transition_weights(root)
+    assert sample_paths(R, root, 8, 300, 5).samples.tolist() == sample_paths(S, root, 8, 300, 5).samples.tolist()
+
+
+class TestOneLayoutOfW:
+    """W is one dense array: the order of the keys it was given in changes no bit of the operator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(taps=FILTERS.flatmap(lambda h: st.permutations(list(h.m0_coeffs().items()))), root=ANGLES)
+    def test_filter_key_order_is_invisible(self, taps, root):
+        space = CircleSpace(degree=32)
+        assert_one_operator(ruelle_from_filter(space, dict(sorted(taps))), ruelle_from_filter(space, dict(taps)), root)
+
+    @settings(max_examples=60, deadline=None)
+    @given(weight=FILTERS.flatmap(
+        lambda h: st.permutations(list(ruelle_from_filter(CircleSpace(degree=32), h.m0_coeffs()).weight.items()))),
+        root=ANGLES)
+    def test_weight_key_order_is_invisible(self, weight, root):
+        space = CircleSpace(degree=32)
+        R, S = CircleRuelleOperator(space, dict(sorted(weight))), CircleRuelleOperator(space, dict(weight))
+        assert_one_operator(R, S, root)
+        assert list(S.weight) == sorted(S.weight)  # the view of the dense array, in index order
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=FILTERS, t=ANGLES)
+    def test_weight_at_a_point_has_its_bits_in_an_array(self, h, t):
+        R = ruelle_from_filter(CircleSpace(degree=32), h.m0_coeffs())
+        w = R.weight_at(t)
+        assert np.ndim(w) == 0 and w == R.weight_at(np.array([t]))[0]
 
 
 class TestFiniteRuelle:
