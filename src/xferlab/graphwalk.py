@@ -113,6 +113,7 @@ def harmonic_solve(net: Network, boundary_values: Mapping[int, float]) -> Observ
 @dataclass
 class HittingReport:
     exact: float
+    sigma: float  # the exact standard deviation of the boundary value at absorption
     estimate: float
     stderr: float
     capped: int
@@ -127,6 +128,7 @@ def hitting_verification(
 ) -> HittingReport:
     """Compare h(start) with the Monte Carlo mean boundary value at absorption.
 
+    The exact sigma reads the second moment off one more Dirichlet solve, on the squared boundary values.
     Walks still active after ``transferop.STEP_CAP`` steps are counted in `capped` and
     contribute their current (interior) value of h, so a nonzero cap count
     flags the estimate rather than hiding slow mixing.
@@ -135,8 +137,11 @@ def hitting_verification(
     kernel = transition_operator(net).kernel
     finals, capped = simulate_absorbing(kernel, ~net._interior_mask(), start, count, seed)
     estimate, stderr = mean_stderr(np.real(np.asarray(h.values))[finals])
+    exact = float(np.real(h.values[start]))
+    second = harmonic_solve(net, {b: float(v) ** 2 for b, v in boundary_values.items()}).values[start]
     return HittingReport(
-        exact=float(np.real(h.values[start])),
+        exact=exact,
+        sigma=float(np.sqrt(max(second - exact**2, 0.0))),
         estimate=estimate,
         stderr=stderr,
         capped=capped,

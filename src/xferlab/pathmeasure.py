@@ -116,6 +116,19 @@ def sigma_expectation(mu: Measure, R: TransferOperator, f):
     return integrate(mu, conditional_expectation(R, f))
 
 
+def real_moments(R: TransferOperator, root, f: CylinderFunctional) -> tuple[float, float]:
+    """E Re f and the standard deviation of Re f under P_root, or Sigma^(root) for a Measure root.
+
+    Var Re f = (E|f|^2 + Re E f^2) / 2 - (E Re f)^2, each by the cylinder recursion.  A product of two
+    words can have twice their degree, so all three are taken with ``R.lifted()``, which holds it.
+    """
+    S = R.lifted()
+    g = CylinderFunctional(tuple(phi.on(S.space) for phi in f.word))
+    e = [conditional_expectation(S, w) for w in (g, g * g.conj(), g * g)]  # x -> E_x of each
+    m, ab, sq = (complex(integrate(root, h) if isinstance(root, Measure) else h(root)).real for h in e)
+    return m, float(np.sqrt(max((ab + sq) / 2 - m**2, 0.0)))
+
+
 def consistency_residual(R: TransferOperator, x, f) -> float:
     """|E_x(f) - E_x(f with constant 1 appended)|: Kolmogorov consistency."""
     return abs(cylinder_expectation(R, x, f) - cylinder_expectation(R, x, f.padded_to(f.depth + 1)))

@@ -167,7 +167,7 @@ def angle_from_json(v) -> Fraction:
 
 
 def jsonify(obj):
-    """Recursively convert numpy scalars/arrays and complexes ([re, im], or re when real) to JSON types.
+    """Recursively convert floats (numpy's float64 too) and complexes ([re, im], or re when real) to JSON types.
 
     A non-finite float becomes the string "NaN", "Infinity" or "-Infinity", so the report stays valid JSON.
     """
@@ -175,16 +175,10 @@ def jsonify(obj):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         x = float(obj)
         return x if math.isfinite(x) else json.dumps(x)
     if isinstance(obj, complex):  # numpy's complex128 too
         c = complex(obj)
         return jsonify(c.real) if c.imag == 0 else [jsonify(c.real), jsonify(c.imag)]
-    if isinstance(obj, Fraction):
-        return str(obj)
     return obj

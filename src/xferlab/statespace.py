@@ -123,7 +123,7 @@ class CircleSpace:
 
     @property
     def grid(self) -> int:
-        """Points of the uniform grid of ``eval_grid``, ``sup_norm`` and the weight positivity check."""
+        """Points of the uniform grid of the weight positivity check."""
         return max(8 * self.degree, 16)
 
     @staticmethod
@@ -150,10 +150,10 @@ class CircleSpace:
         return (2 * t) % 1
 
     @staticmethod
-    def preimages(t: Fraction) -> tuple[Fraction, Fraction]:
-        """The two square roots of e^{2 pi i t}, as exact angles."""
-        t = Fraction(t) % 1
-        return (t / 2, (t + 1) / 2)
+    def preimages(t) -> np.ndarray:
+        """The two square roots (t / 2, (t + 1) / 2) of e^{2 pi i t} for exact angles t in [0, 1),
+        elementwise: a pair for an angle, an (m, 2) array for m angles."""
+        return np.stack([t / 2, (t + 1) / 2], axis=-1)
 
     def compose_with_endo(self, phi: "Observable") -> "Observable":
         """Index doubling: the stride-2 scatter."""
@@ -242,6 +242,17 @@ def coeffs_at(coeffs: np.ndarray, offset: int, idx) -> np.ndarray:
     out = np.zeros(pos.shape, dtype=complex)
     out[inside] = coeffs[pos[inside]]
     return out
+
+
+def autocorrelation(coeffs: np.ndarray) -> np.ndarray:
+    """sum_n c_n conj(c_{n - lag}) at entry lag + size - 1 for |lag| < size: the coefficients of |m|^2, added
+    over the nonzero entries in index order of n, so the bits do not depend on how the taps were given."""
+    taps = [(n, c) for n, c in enumerate(coeffs.tolist()) if c != 0]
+    out = [0j] * max(2 * coeffs.size - 1, 0)
+    for n, a in taps:
+        for k, b in taps:
+            out[n - k + coeffs.size - 1] += a * b.conjugate()
+    return np.array(out, dtype=complex)
 
 
 def even_gather(coeffs: np.ndarray, offset: int) -> tuple[np.ndarray, int]:
@@ -357,13 +368,6 @@ class Observable:
         z = x if np.iscomplexobj(x) else np.exp(2j * np.pi * np.asarray(x, dtype=float))
         return horner(self.coeffs, self.offset, z)
 
-    def eval_grid(self, size: int | None = None) -> np.ndarray:
-        """Values on the uniform angle grid k/size, k=0..size-1 (circle only)."""
-        if self.coeffs is None:
-            raise TypeError("eval_grid is only defined on the circle carrier")
-        size = size or self.space.grid
-        return self(np.arange(size) / size)
-
     # -- algebra -----------------------------------------------------------
 
     def _like(self, other: "Observable") -> None:
@@ -405,16 +409,16 @@ class Observable:
             self.space, self.coeffs[::-1].conj(), -(self.offset + self.coeffs.size - 1)
         )
 
-    def sup_norm(self, grid: int | None = None) -> float:
-        if self.values is not None:
-            return float(np.max(np.abs(self.values))) if self.space.n else 0.0
-        return float(np.max(np.abs(self.eval_grid(grid))))
-
     def coeff_norm(self) -> float:
         """Max absolute Fourier coefficient (circle); max abs value (finite)."""
+        entries = self.coeffs if self.values is None else self.values
+        return float(np.max(np.abs(entries))) if entries.size else 0.0
+
+    def on(self, space: Space) -> "Observable":
+        """The same function on another carrier of its kind, such as a circle of a higher degree bound."""
         if self.values is not None:
-            return self.sup_norm()
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
+            return Observable.from_values(space, self.values)
+        return Observable.from_coeffs(space, self.coeffs, self.offset)
 
 
 @dataclass(frozen=True, eq=False)

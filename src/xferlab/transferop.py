@@ -14,6 +14,7 @@ validated at construction.  Both finite walkers, ``MatrixOperator.walk`` and
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import warnings
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .statespace import (
     FiniteSpace,
     Measure,
     Observable,
+    autocorrelation,
     coeffs_at,
     compose_with_endo,
     convolve,
@@ -50,7 +52,7 @@ STEP_CAP = 10**6  # absorbing walks: steps before a walk is reported as capped
 
 class TransferOperator:
     """Common interface: apply and powers, plus what each carrier does its own way: adjoint_apply,
-    invariant_measure, stationarity_residual, support_mass, absorbing_states and walk."""
+    invariant_measure, stationarity_residual, support_mass, absorbing_states, walk and lifted."""
 
     def apply(self, phi: Observable) -> Observable:
         raise NotImplementedError
@@ -91,6 +93,10 @@ class MatrixOperator(TransferOperator):
     def fingerprint(self) -> str:
         h = hashlib.sha256(np.ascontiguousarray(self.kernel))
         return "matrix:" + h.hexdigest()[:16]
+
+    def lifted(self) -> "MatrixOperator":
+        """R on a carrier that holds the product of two observables: a finite carrier already does."""
+        return self
 
     def adjoint_apply(self, mu: Measure, psi: Observable) -> Observable:
         """(R* psi)(y) = sum_x mu(x) K[x,y] psi(x) / mu(y), requiring full support."""
@@ -283,14 +289,19 @@ class CircleRuelleOperator(TransferOperator):
 
     def transition_weights(self, t: Fraction) -> tuple[tuple[Fraction, float], ...]:
         """Backward-branch angles u with u^2 = e^{2 pi i t} and their probabilities."""
-        pre = CircleSpace.preimages(Fraction(t))
-        p = self._branch_probabilities(np.array([pre], dtype=object))[0]
-        return tuple(zip(pre, p.tolist()))
+        pre = CircleSpace.preimages(np.array([Fraction(t) % 1], dtype=object))
+        return tuple(zip(pre[0].tolist(), self._branch_probabilities(pre)[0].tolist()))
 
     def fingerprint(self) -> str:
         items = [(n, c.real, c.imag) for n, c in self.weight.items()]
         h = hashlib.sha256(repr(items).encode())
         return "ruelle:" + h.hexdigest()[:16]
+
+    def lifted(self) -> "CircleRuelleOperator":
+        """R on the circle of twice the degree, which holds the product of two observables; W is not checked again."""
+        out = copy.copy(self)
+        object.__setattr__(out, "space", CircleSpace(2 * self.space.degree))
+        return out
 
     def adjoint_apply(self, mu: Measure, psi: Observable) -> Observable:
         """(R* psi)(x) = 2 W(x) psi(r(x)) in L^2(Haar), the only measure on the circle carrier."""
@@ -342,7 +353,7 @@ class CircleRuelleOperator(TransferOperator):
             u = rng.random((len(block), max(n - 1, 1)))
             angles, k = np.array([t0], dtype=object), np.zeros(len(block), dtype=np.intp)
             for step in range(n - 1):
-                pre = np.stack([angles / 2, (angles + 1) / 2], axis=1)
+                pre = CircleSpace.preimages(angles)
                 p0 = self._branch_probabilities(pre)[:, 0]
                 child, k = np.unique(2 * k + (u[:, step] >= p0[k]), return_inverse=True)
                 angles = pre.ravel()[child]
@@ -367,16 +378,9 @@ def ruelle_from_endo(space: FiniteSpace) -> MatrixOperator:
 def ruelle_from_filter(
     space: CircleSpace, m0: Mapping[int, complex]
 ) -> CircleRuelleOperator:
-    """Ruelle operator with QMF weight W = |m0|^2 / 2 from filter coefficients."""
-    m = sorted({int(n): complex(c) for n, c in m0.items() if c != 0}.items())
-    # W_{n-k} accumulates m_n conj(m_k) over the taps in index order, so the bits of W do not
-    # depend on the key order of m0 (np.convolve sums in another order and moves D4's last bits)
-    acf: dict[int, complex] = {}
-    for n, a in m:
-        for k, b in m:
-            acf[n - k] = acf.get(n - k, 0) + a * b.conjugate()
-    weight = {n: c / 2 for n, c in acf.items() if c != 0}
-    return CircleRuelleOperator(space, weight)
+    """Ruelle operator with QMF weight W = |m0|^2 / 2 from filter coefficients, by ``autocorrelation``."""
+    taps, _ = dense_coeffs(m0)
+    return CircleRuelleOperator(space, sparse_coeffs(autocorrelation(taps) / 2, 1 - taps.size))
 
 
 def uniform_circle_operator(space: CircleSpace) -> CircleRuelleOperator:

@@ -24,6 +24,7 @@ from .statespace import (
     CircleSpace,
     Measure,
     Observable,
+    autocorrelation,
     coeffs_at,
     compose_with_endo,
     convolve,
@@ -70,18 +71,15 @@ class QMFFilter:
         return int(self.coeffs.size)
 
     def m0_coeffs(self) -> dict[int, complex]:
-        return {
-            self.offset + l: complex(c)
-            for l, c in enumerate(self.coeffs)
-            if c != 0
-        }
+        return sparse_coeffs(self.coeffs, self.offset)
 
     def m0_observable(self, space: CircleSpace) -> Observable:
         return Observable.from_fourier(space, self.m0_coeffs())
 
     def autocorrelation(self) -> np.ndarray:
-        """a_lag = sum_k h_k conj(h_{k - lag}) at entry lag + length - 1, for |lag| < length."""
-        return convolve(self.coeffs, self.coeffs[::-1].conj())
+        """a_lag = sum_k h_k conj(h_{k - lag}) at entry lag + length - 1, for |lag| < length: twice the W of
+        ``ruelle_from_filter``, bit for bit, from the one ``autocorrelation`` loop."""
+        return autocorrelation(self.coeffs)
 
 
 def haar_filter() -> QMFFilter:

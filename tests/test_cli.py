@@ -129,7 +129,8 @@ SCHEMA = {
     **{f"{task}-missing-{key}": _with(task, **{key: DROP}) + (key,) for task, key in (
         ("expectation", "word"), ("sample", "seed"), ("sample", "root"), ("invariance", "operator"),
         ("qmf", "filter"), ("cascade", "filter"), ("representation", "filter"), ("harmonic", "boundary_values"),
-        ("harmonic", "boundary"), ("correlate", "lags"), ("correlate", "psi"), ("solenoid", "depth"),
+        ("harmonic", "boundary"), ("harmonic", "edges"), ("harmonic", "vertices"), ("correlate", "lags"),
+        ("correlate", "psi"), ("solenoid", "depth"),
         ("solenoid", "point"), ("smale-williams", "steps"))},
     "space-not-an-object": _with("invariance", space=["finite"]) + ("space",),
     "space-without-kind": _with("invariance", space={"states": ["a", "b"]}) + ("space.kind",),
@@ -155,8 +156,7 @@ SCHEMA = {
     "boundary-fractional": _with("harmonic", boundary=[0, 2.5]) + ("boundary[1]",),
     "boundary-key-not-decimal": _with("harmonic", boundary_values={"0": 0.0, "0x2": 1.0}) + ("boundary_values",),
     "edge-pair": _with("harmonic", edges=[[0, 1, 1.0], [1, 2]]) + ("edges[1]",),
-    "neither-conductance-nor-edges": _with("harmonic", edges=DROP) + ("conductance",),
-    "neither-conductance-nor-vertices": _with("harmonic", vertices=DROP) + ("conductance",),
+    "harmonic-count-without-start": _with("harmonic", count=500, seed=3) + ("start",),
     **{f"{task}-{key}-{low}": _with(task, **{key: low}) + (key,) for task, key, low in (
         ("sample", "depth", 0), ("sample", "count", 0), ("solenoid", "depth", 0), ("smale-williams", "steps", 0),
         ("cascade", "iterations", -1), ("cascade", "resolution", 0), ("representation", "depth", 0),
@@ -219,6 +219,14 @@ class TestExitCodes:
         code, report = run(tmp_path, "harmonic", cfg)
         assert code == 2 and report is None
         assert "[2, 3, 4]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", sorted(set(BASE) - {"sample", "smale-williams"}))
+    def test_csv_is_refused_where_there_is_no_table(self, tmp_path, task):
+        csv_path = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, task, BASE[task], extra=["--csv", str(csv_path)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "report.json").exists() and not csv_path.exists()
 
     def test_schema_violation_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "qmf", {"filter": {"offset": 1}})
@@ -458,6 +466,12 @@ class TestTasks:
         assert code == 1 and len(report["refinement_residuals"]) == 12
         assert [(c["name"], c["pass"]) for c in report["claims"]] == [("translate_orthogonality", False)]
 
+    def test_complex_integral_is_an_re_im_pair(self, tmp_path):
+        # unnormalised complex taps: each step multiplies the mass by (h_0 + h_1) / sqrt(2) = (1 + i) / 2
+        cfg = {"filter": {"coeffs": [[0, HAAR_TAP], HAAR_TAP], "require_normalization": False}, "iterations": 2}
+        code, report = run(tmp_path, "cascade", cfg)
+        assert report["integral"] == pytest.approx([0.0, 0.5])
+
     def test_non_qmf_cascade_has_no_lawton_claim(self, tmp_path):
         cfg = {"filter": {"coeffs": [HAAR_TAP, 0, HAAR_TAP]}, "allow_non_qmf": True}
         code, report = run(tmp_path, "cascade", cfg)
@@ -472,7 +486,8 @@ class TestTasks:
 
     def test_harmonic(self, tmp_path):
         cfg = {
-            "conductance": [[0, 1, 0], [1, 0, 2], [0, 2, 0]],
+            "edges": [[0, 1, 1.0], [1, 2, 2.0]],
+            "vertices": 3,
             "boundary": [0, 2],
             "boundary_values": {"0": 0.0, "2": 1.0},
             "start": 1,
@@ -493,6 +508,30 @@ class TestTasks:
         code, report = run(tmp_path, "harmonic", cfg)
         assert code == 0
         assert report["values"][1] == pytest.approx(2 / 3)
+
+    def test_rare_branch_never_drawn_is_judged_against_the_exact_sigma(self, tmp_path):
+        # K[0, 1] = 5.1e-5 is never drawn in 2000 paths: the sample stderr is 5e-18, the error 0.32 exact sigmas
+        rng = np.random.default_rng(2221)
+        rows = rng.dirichlet(np.ones(2), size=2).tolist()
+        root = int(rng.integers(2))
+        word = [{"values": rng.uniform(-1, 1, 2).tolist()} for _ in range(2)]
+        cfg = {"space": TWO_STATE, "operator": {"kind": "matrix", "rows": rows}, "root": root, "depth": 2,
+               "count": 2000, "seed": 2221, "word": word}
+        code, report = run(tmp_path, "sample", cfg)
+        claim = {c["name"]: c for c in report["claims"]}["mc_within_sigma"]
+        assert report["mc_stderr"] < 1e-17 and report["exact_stderr"] == pytest.approx(5.27e-5, rel=1e-3)
+        assert claim["tolerance"] == 4 * report["exact_stderr"] and code == 0
+
+    def test_rare_hit_never_drawn_is_judged_against_the_exact_sigma(self, tmp_path):
+        # from vertex 1 the walk reaches vertex 2 with probability 1e-5: all 2000 walks end at 0
+        cfg = {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 1e-5]], "boundary": [0, 2],
+               "boundary_values": {"0": 0.0, "2": 1.0}, "start": 1, "count": 2000, "seed": 3}
+        code, report = run(tmp_path, "harmonic", cfg)
+        claim = {c["name"]: c for c in report["claims"]}["hitting_within_sigma"]
+        assert report["mc_estimate"] == report["mc_stderr"] == 0.0
+        p = 1e-5 / (1 + 1e-5)  # the chance of stepping to 2 from 1, the only interior vertex
+        assert report["exact"] == pytest.approx(p) and report["exact_stderr"] == pytest.approx(np.sqrt(p * (1 - p) / 2000))
+        assert claim["tolerance"] == 4 * report["exact_stderr"] and code == 0
 
     def test_harmonic_mc_without_seed_is_config_error(self, tmp_path):
         cfg = {

@@ -280,6 +280,16 @@ def test_autocorrelation_is_the_per_lag_loop(name):
         assert abs(acf[lag + h.length - 1] - autocorrelation_by_lag(h, lag)) <= tol(h)
 
 
+@pytest.mark.parametrize("name", ["haar", "d4", "stretched3", "lattice"])  # the unital ones: R needs R1 = 1
+def test_autocorrelation_is_twice_the_ruelle_weight_bit_for_bit(name):
+    # one loop feeds W, the QMF identity and the Lawton matrix, so they agree to the last bit at every lag
+    h = FILTERS[name]
+    weight = ruelle_from_filter(CircleSpace(degree=32), h.m0_coeffs()).weight
+    acf = h.autocorrelation()
+    for lag in range(1 - h.length, h.length):
+        assert acf[lag + h.length - 1] == 2 * weight.get(lag, 0)
+
+
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_lawton_map_and_matrix_are_the_pair_loops(name):
     h = FILTERS[name]

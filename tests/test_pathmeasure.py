@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xferlab import (
@@ -42,7 +42,8 @@ from xferlab import (
     sigma_expectation,
     v2_star,
 )
-from xferlab.pathmeasure import default_word_battery
+from xferlab.errors import DegreeOverflowError
+from xferlab.pathmeasure import default_word_battery, real_moments
 from xferlab.rng import CHUNK
 
 HAAR_M0 = {0: 2**-0.5, 1: 2**-0.5}
@@ -63,6 +64,24 @@ def enumerate_expectation(kernel, x, word_values):
             v *= vals[s]
         total += p * v
     return total
+
+
+def path_law(R, root, f):
+    """Oracle: every path of the word's depth from root, with its probability and the value of f on it."""
+    if isinstance(R.space, CircleSpace):
+        steps = R.transition_weights
+    else:
+        steps = lambda x: enumerate(R.kernel[x])  # noqa: E731
+    paths = [((root,), 1.0)]
+    for _ in range(f.depth - 1):
+        paths = [(p + (y,), w * q) for p, w in paths for y, q in steps(p[-1])]
+    return np.array([w for _, w in paths]), np.array([complex(f.evaluate(p)) for p, _ in paths])
+
+
+def real_moments_of(probs, values) -> tuple[float, float]:
+    """Oracle: the mean and the standard deviation of Re f from the law of the paths."""
+    mean = probs @ values.real
+    return mean, math.sqrt(probs @ (values.real - mean) ** 2)
 
 
 @pytest.fixture
@@ -156,15 +175,22 @@ class TestSampling:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 30), depth=st.integers(1, 4), seed=st.integers(0, 2**31))
+    @example(n=2, depth=2, seed=2221)  # a branch of probability 5e-5 never drawn: the sample sigma reads 5e-18
     def test_finite_mc_mean_is_within_six_sigma_of_exact(self, n, depth, seed):
         rng = np.random.default_rng(seed)
         sp = FiniteSpace(tuple(range(n)))
         R = MatrixOperator(sp, rng.dirichlet(np.ones(n), size=n))
         root = int(rng.integers(n))
         word = CylinderFunctional(tuple(Observable.from_values(sp, rng.uniform(-1, 1, n)) for _ in range(depth)))
-        mean, stderr = sample_paths(R, root, depth, 2000, seed).functional_mean(word)
+        mean, _ = sample_paths(R, root, depth, 2000, seed).functional_mean(word)
         exact = complex(cylinder_expectation(R, root, word)).real
-        assert abs(mean - exact) <= 6 * stderr + 1e-12  # 1e-12: rounding when every path has the same value
+        sigma = math.sqrt(max(complex(cylinder_expectation(R, root, word * word)).real - exact**2, 0.0))
+        assert abs(mean - exact) <= 6 * sigma / math.sqrt(2000) + 1e-12  # 1e-12: rounding when sigma is 0
+
+    def test_circle_walk_refuses_a_measure_root(self, circle_R):
+        space, R = circle_R
+        with pytest.raises(ValueError, match="mu-rooted sampling"):
+            sample_paths(R, Measure.haar_measure(space), 3, 10, seed=1)
 
     def test_mu_rooted_sampling(self, two_state):
         sp, R = two_state
@@ -184,7 +210,7 @@ class TestSampling:
     @settings(max_examples=40, deadline=None)
     @given(
         d4=st.booleans(),
-        root=st.fractions(0, 1).filter(lambda t: t.denominator <= 50),
+        root=st.integers(1, 50).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))),
         depth=st.integers(1, 6),
         dicts=st.lists(
             st.dictionaries(st.integers(-8, 8), st.complex_numbers(max_magnitude=3, allow_nan=False,
@@ -227,6 +253,41 @@ def carrier(request, two_state, circle_R):
         return sp, R, 1, MatrixOperator(sp, [[0.5, 0.5], [0.5, 0.5]])
     space, R = circle_R
     return space, R, Fraction(2, 7), ruelle_from_filter(space, daubechies4().m0_coeffs())
+
+
+class TestRealMoments:
+    """real_moments gives the mean and the standard deviation of Re f over all paths, weighted by their law."""
+
+    WORD = ([1 + 2j, -0.5j], [0.25, 1 - 1j], [2j, 3.0])
+
+    def test_finite_point_root(self, two_state):
+        sp, R = two_state
+        f = CylinderFunctional(tuple(Observable.from_values(sp, v) for v in self.WORD))
+        assert real_moments(R, 1, f) == pytest.approx(real_moments_of(*path_law(R, 1, f)), abs=1e-12)
+
+    def test_finite_measure_root(self, two_state):
+        sp, R = two_state
+        f = CylinderFunctional(tuple(Observable.from_values(sp, v) for v in self.WORD))
+        laws = [path_law(R, x, f) for x in (0, 1)]
+        probs = np.concatenate([0.25 * laws[0][0], 0.75 * laws[1][0]])
+        values = np.concatenate([laws[0][1], laws[1][1]])
+        mu = Measure.from_weights(sp, [0.25, 0.75])
+        assert real_moments(R, mu, f) == pytest.approx(real_moments_of(probs, values), abs=1e-12)
+
+    def test_circle_products_beyond_the_degree_bound(self):
+        # f f has degree 16 on a carrier of degree 8: the second moments are taken on the circle of degree 16
+        space = CircleSpace(degree=8)
+        R = ruelle_from_filter(space, daubechies4().m0_coeffs())
+        root = Fraction(1, 3)
+        f = CylinderFunctional((Observable.from_fourier(space, {-3: 0.5j, 1: 1.0, 3: -0.25}),
+                                Observable.from_fourier(space, {-8: 1.0, 1: 0.5, 7: 1j})))
+        with pytest.raises(DegreeOverflowError):
+            cylinder_expectation(R, root, f * f)
+        mean, sigma = real_moments(R, root, f)
+        assert mean == cylinder_expectation(R, root, f).real  # the bits of the carrier's own recursion
+        oracle = real_moments_of(*path_law(R, root, f))
+        assert oracle[1] > 0.5 and (mean, sigma) == pytest.approx(oracle, abs=1e-12)
+        assert R.lifted().space == CircleSpace(degree=16) and R.space == space
 
 
 class TestEnsembleLayout:

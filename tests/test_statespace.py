@@ -94,8 +94,8 @@ class TestObservableAlgebra:
         g = Observable.from_fourier(circle, {-1: 0.5, 2: 1.0})
         prod = f * g
         # oracle: pointwise multiplication on the grid
-        expected = f.eval_grid() * g.eval_grid()
-        assert np.max(np.abs(prod.eval_grid() - expected)) < 1e-12
+        grid = np.arange(circle.grid) / circle.grid
+        assert np.max(np.abs(prod(grid) - f(grid) * g(grid))) < 1e-12
 
     def test_degree_overflow_is_an_error_not_truncation(self, circle):
         f = Observable.character(circle, circle.degree)
@@ -149,6 +149,15 @@ class TestMeasure:
         with pytest.raises(NormalizationError):
             Measure.from_weights(sp, [0.6, 0.5])
 
+    def test_negative_weight_is_refused(self):
+        with pytest.raises(NormalizationError, match="nonnegative"):
+            Measure.from_weights(FiniteSpace(("a", "b")), [1.5, -0.5])
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.25, 0.25], [[0.5, 0.5]]])
+    def test_weight_vector_of_another_length_is_refused(self, weights):
+        with pytest.raises(ValueError, match="length must match"):
+            Measure.from_weights(FiniteSpace(("a", "b")), weights)
+
     def test_haar_integrates_to_constant_coefficient(self, circle):
         mu = Measure.haar_measure(circle)
         f = Observable.from_fourier(circle, {0: 3.0, 2: 1.0, -5: 2j})
@@ -181,6 +190,13 @@ class TestEndomorphismComposition:
         t = Fraction(1, 3)
         u0, u1 = CircleSpace.preimages(t)
         assert abs(fiber_average(f)(t) - (f(u0) + f(u1)) / 2) < 1e-12
+
+    def test_preimages_are_elementwise(self):
+        angles = [Fraction(0), Fraction(1, 3), Fraction(5, 8)]
+        pre = CircleSpace.preimages(np.array(angles, dtype=object))
+        assert pre.shape == (3, 2)
+        assert pre.tolist() == [CircleSpace.preimages(t).tolist() for t in angles]
+        assert all((2 * u) % 1 == t for t, pair in zip(angles, pre) for u in pair)
 
     def test_haar_is_strongly_invariant(self, circle):
         mu = Measure.haar_measure(circle)
@@ -341,7 +357,6 @@ class TestDenseLayout:
         theta = np.arange(64) / 64
         direct = sum(c * np.exp(2j * np.pi * n * theta) for n, c in a.items())
         l1 = sum(abs(c) for c in a.values())
-        assert np.max(np.abs(f.eval_grid(64) - direct)) <= 1e-12 * l1
+        assert np.max(np.abs(f(theta) - direct)) <= 1e-12 * l1
         assert abs(f(Fraction(3, 64)) - direct[3]) <= 1e-12 * l1
         assert abs(f(complex(np.exp(2j * np.pi * 3 / 64))) - direct[3]) <= 1e-12 * l1
-        assert f.sup_norm(64) == pytest.approx(np.max(np.abs(direct)), rel=1e-12)

@@ -79,6 +79,16 @@ class TestMatrixOperator:
         assert mu.weights == pytest.approx([2 / 3, 1 / 3])
         assert stationarity_residual(R, mu) < 1e-12
 
+    def test_negative_power_is_refused(self, two_state):
+        sp, R = two_state
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            R.apply_power(Observable.constant(sp, 1.0), -1)
+
+    def test_adjoint_needs_full_support(self, two_state):
+        sp, R = two_state
+        with pytest.raises(ValueError, match="full support"):
+            adjoint_apply(R, Measure.point_mass(sp, 0), Observable.constant(sp, 1.0))
+
     def test_reducible_chain_warns(self):
         sp = FiniteSpace(("a", "b"))
         R = MatrixOperator(sp, [[1.0, 0.0], [0.0, 1.0]])
@@ -147,6 +157,12 @@ class TestCircleRuelleOperator:
         assert invariant_measure(uniform_circle_operator(circle)).haar
         with pytest.raises(ValueError):
             invariant_measure(ruelle_from_filter(circle, HAAR_M0))
+
+    def test_branch_weights_off_one_are_refused(self, circle):
+        # (0, 0) is not the preimage pair of one angle: W(0) + W(0) = |m0(1)|^2 = 2 for the Haar filter
+        R = ruelle_from_filter(circle, HAAR_M0)
+        with pytest.raises(NormalizationError, match="sum to 2"):
+            R._branch_probabilities(np.array([[Fraction(0), Fraction(0)]], dtype=object))
 
     def test_transition_weights_are_probabilities(self, circle):
         R = ruelle_from_filter(circle, HAAR_M0)
