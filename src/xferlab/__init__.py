@@ -50,6 +50,7 @@ from .pathmeasure import (
     correlation_mc,
     cylinder_expectation,
     harmonic_correspondence,
+    hitting,
     marginal_distribution,
     marginal_distribution_mc,
     multiplier_identity_residual,

@@ -6,6 +6,8 @@ where c(x) = sum_y c_xy; boundary vertices are absorbing.  Harmonicity of phi
 means the graph Laplacian (Delta phi)(x) = sum_y c_xy (phi(x) - phi(y))
 vanishes at interior vertices, equivalently P phi = phi there, and the
 Dirichlet solution equals the expected boundary value at absorption.
+``hitting_verification`` checks that by Monte Carlo through
+``pathmeasure.hitting`` on the walk operator, which runs the absorbing walks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NormalizationError
-from .pathmeasure import mean_stderr, simulate_absorbing
+from .pathmeasure import HittingReport, hitting
 from .statespace import FiniteSpace, Observable
 from .transferop import MatrixOperator
 
@@ -43,15 +45,14 @@ class Network:
         for b in bd:
             if not 0 <= b < self.space.n:
                 raise ValueError("boundary vertex out of range")
-        totals = c.sum(axis=1)
-        if np.any(totals[self._interior_mask(bd)] <= 0):
-            raise ValueError("every interior vertex needs at least one edge")
         object.__setattr__(self, "conductance", c)
         object.__setattr__(self, "boundary", bd)
+        if np.any(self.total_conductance()[self._interior_mask()] <= 0):
+            raise ValueError("every interior vertex needs at least one edge")
 
-    def _interior_mask(self, bd=None) -> np.ndarray:
+    def _interior_mask(self) -> np.ndarray:
         mask = np.ones(self.space.n, dtype=bool)
-        mask[list(bd if bd is not None else self.boundary)] = False
+        mask[list(self.boundary)] = False
         return mask
 
     @property
@@ -95,6 +96,15 @@ def detailed_balance_residual(net: Network) -> float:
     return float(np.max(np.abs(sub - sub.T))) if sub.size else 0.0
 
 
+def _boundary_vector(net: Network, boundary_values: Mapping[int, float]) -> np.ndarray:
+    """The boundary values as a vector over the vertices, 0 inside; they must cover exactly the boundary."""
+    if set(boundary_values) != set(net.boundary):
+        raise ValueError("boundary values must be given on exactly the boundary set")
+    v = np.zeros(net.space.n)
+    v[list(boundary_values)] = [float(x) for x in boundary_values.values()]
+    return v
+
+
 def harmonic_solve(net: Network, boundary_values: Mapping[int, float]) -> Observable:
     """Solve the Dirichlet problem: Delta h = 0 inside, h given on the boundary.
 
@@ -103,49 +113,16 @@ def harmonic_solve(net: Network, boundary_values: Mapping[int, float]) -> Observ
     unique exactly when every interior vertex has a path to the boundary; the
     vertices without one are named in a ValueError, whatever the conductances.
     """
-    if set(boundary_values) != set(net.boundary):
-        raise ValueError("boundary values must be given on exactly the boundary set")
-    h = np.zeros(net.space.n)
-    h[list(boundary_values)] = [float(v) for v in boundary_values.values()]
-    return Observable.from_values(net.space, transition_operator(net).harmonic_extension(h))
-
-
-@dataclass
-class HittingReport:
-    exact: float
-    sigma: float  # the exact standard deviation of the boundary value at absorption
-    estimate: float
-    stderr: float
-    capped: int
+    v = _boundary_vector(net, boundary_values)
+    return Observable.from_values(net.space, transition_operator(net).harmonic_extension(v))
 
 
 def hitting_verification(
-    net: Network,
-    boundary_values: Mapping[int, float],
-    start: int,
-    count: int,
-    seed: int,
+    net: Network, boundary_values: Mapping[int, float], start: int, count: int, seed: int
 ) -> HittingReport:
-    """Compare h(start) with the Monte Carlo mean boundary value at absorption.
-
-    The exact sigma reads the second moment off one more Dirichlet solve, on the squared boundary values.
-    Walks still active after ``transferop.STEP_CAP`` steps are counted in `capped` and
-    contribute their current (interior) value of h, so a nonzero cap count
-    flags the estimate rather than hiding slow mixing.
-    """
-    h = harmonic_solve(net, boundary_values)
-    kernel = transition_operator(net).kernel
-    finals, capped = simulate_absorbing(kernel, ~net._interior_mask(), start, count, seed)
-    estimate, stderr = mean_stderr(np.real(np.asarray(h.values))[finals])
-    exact = float(np.real(h.values[start]))
-    second = harmonic_solve(net, {b: float(v) ** 2 for b, v in boundary_values.items()}).values[start]
-    return HittingReport(
-        exact=exact,
-        sigma=float(np.sqrt(max(second - exact**2, 0.0))),
-        estimate=estimate,
-        stderr=stderr,
-        capped=capped,
-    )
+    """Compare h(start) with the Monte Carlo mean boundary value at absorption: ``pathmeasure.hitting``
+    on the walk operator, with h the Dirichlet solution of ``harmonic_solve``."""
+    return hitting(transition_operator(net), _boundary_vector(net, boundary_values), start, count, seed)
 
 
 def path_network(conductances: Sequence[float]) -> Network:

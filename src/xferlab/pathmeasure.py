@@ -9,8 +9,9 @@ is restricted to the cylinder algebra (products of finitely many coordinate
 observables); everything else goes through seeded Monte Carlo ensembles.
 
 ``sample_paths`` runs the walker of its operator (``MatrixOperator.walk`` or
-``CircleRuelleOperator.walk``).  On finite carriers that walker and
-``simulate_absorbing``, both in ``transferop``, take one inverse-CDF step: from
+``CircleRuelleOperator.walk``), and ``hitting``, the one Monte Carlo check of
+E_x(h(X_absorption)) = h(x), runs ``simulate_absorbing``.  On finite carriers
+those two walkers, both in ``transferop``, take one inverse-CDF step: from
 state x with a uniform draw u in [0, 1), the next state is the number of
 entries of row x of the cumulative table below u.  A mu-rooted walk draws its
 first state by the same step on the one-row table of mu.  The table is the
@@ -106,8 +107,8 @@ def conditional_expectation(R: TransferOperator, f) -> Observable:
 
 
 def cylinder_expectation(R: TransferOperator, x, f):
-    """E_x(f) for a cylinder word f and a point x of the carrier."""
-    return conditional_expectation(R, f)(x)
+    """E_x(f) for a cylinder word f and a point x of the carrier (checked by ``space.point``)."""
+    return conditional_expectation(R, f)(R.space.point(x))
 
 
 def sigma_expectation(mu: Measure, R: TransferOperator, f):
@@ -317,25 +318,16 @@ class HarmonicReport:
     harmonic_residual: float
     absorbing_states: list[int]
     boundary_residual: float | None
-    mc_estimate: float | None
-    mc_stderr: float | None
-    mc_capped: int
 
 
-def harmonic_correspondence(
-    R: TransferOperator,
-    h: Observable,
-    mc_start: int | None = None,
-    mc_count: int = 0,
-    seed: int = 0,
-) -> HarmonicReport:
+def harmonic_correspondence(R: TransferOperator, h: Observable) -> HarmonicReport:
     """Verify the martingale picture behind Rh = h.
 
     Checks Rh = h within 1e-10, so that E_x(h o pi_{n+1}) = (R^n h)(x) = h(x)
     within n times that for a stochastic kernel; and on absorbing finite
-    chains identifies the a.s. limit of h(X_n) with the boundary-value function:
-    E_x(h(X_absorption)) = h(x), exactly and optionally by Monte Carlo; a
-    state that never absorbs raises ValueError (``harmonic_extension``).
+    chains identifies the a.s. limit of h(X_n) with the boundary-value function,
+    E_x(h(X_absorption)) = h(x), exactly (``hitting`` checks it by Monte Carlo);
+    a state that never absorbs raises ValueError (``harmonic_extension``).
     """
     resid = (R.apply(h) - h).coeff_norm()
     if not resid <= 1e-10:
@@ -343,21 +335,37 @@ def harmonic_correspondence(
 
     absorbing_states = R.absorbing_states()
     boundary_residual = None
-    mc_estimate = mc_stderr = None
-    capped = 0
     if absorbing_states and len(absorbing_states) < R.space.n:
         values = np.real(np.asarray(h.values))
         boundary_residual = float(np.max(np.abs(R.harmonic_extension(values) - values)))
-        if mc_count and mc_start is not None:
-            mask = np.zeros(R.space.n, dtype=bool)
-            mask[absorbing_states] = True
-            finals, capped = simulate_absorbing(R.kernel, mask, mc_start, mc_count, seed)
-            mc_estimate, mc_stderr = mean_stderr(values[finals])
-    return HarmonicReport(
-        harmonic_residual=float(resid),
-        absorbing_states=absorbing_states,
-        boundary_residual=boundary_residual,
-        mc_estimate=mc_estimate,
-        mc_stderr=mc_stderr,
-        mc_capped=capped,
-    )
+    return HarmonicReport(float(resid), absorbing_states, boundary_residual)
+
+
+@dataclass
+class HittingReport:
+    exact: float
+    sigma: float  # the exact standard deviation of the value at absorption
+    estimate: float
+    stderr: float
+    capped: int
+
+
+def hitting(R: TransferOperator, values, start: int, count: int, seed: int) -> HittingReport:
+    """Compare h(start) = E_start(values at absorption) with its Monte Carlo mean over absorbing walks.
+
+    h is the harmonic extension of ``values`` off the absorbing states of the finite chain R, and the
+    exact sigma reads the second moment off the harmonic extension of the squared values.  Both
+    solves run before any walk, so a state that never absorbs is refused before sampling.  Walks
+    still active after ``transferop.STEP_CAP`` steps are counted in `capped` and contribute their
+    current (interior) value of h, so a nonzero cap count flags the estimate rather than hiding
+    slow mixing.
+    """
+    values = np.asarray(values, dtype=float)
+    h = R.harmonic_extension(values)
+    second = R.harmonic_extension(values**2)
+    absorbing = np.zeros(R.space.n, dtype=bool)
+    absorbing[R.absorbing_states()] = True
+    finals, capped = simulate_absorbing(R.kernel, absorbing, start, count, seed)
+    estimate, stderr = mean_stderr(h[finals])
+    exact = float(h[start])
+    return HittingReport(exact, float(np.sqrt(max(second[start] - exact**2, 0.0))), estimate, stderr, capped)

@@ -127,7 +127,8 @@ def conditional_two(R: TransferOperator, f, x1, x2):
 
 
 def lift_conditional_residual(R: TransferOperator, words, points) -> float:
-    """Max residual of E_x(f o rhat) = E_{r(x), x}(f) over words and points x."""
+    """Max residual of E_x(f o rhat) = E_{r(x), x}(f) over words and points x (checked by ``space.point``)."""
+    points = [R.space.point(x) for x in points]
     res = 0.0
     for f in words:
         lifted = conditional_expectation(R, word_compose_rhat(f))

@@ -9,7 +9,8 @@ trig-polynomial weight W (typically |m0|^2 / 2 for a filter m0):
 realized exactly on Fourier coefficients as (R phi)_k = 2 (W * phi)_{2k},
 where * is coefficient convolution.  Unitality R1 = 1 and positivity are
 validated at construction.  Both finite walkers, ``MatrixOperator.walk`` and
-``simulate_absorbing``, live here with the one inverse-CDF step they share.
+``simulate_absorbing``, live here with the one inverse-CDF step they share;
+``simulate_absorbing`` has one caller, ``pathmeasure.hitting``.
 """
 
 from __future__ import annotations

@@ -208,12 +208,12 @@ class TestExitCodes:
         assert err.startswith("config is not valid JSON: ") and token in err
 
     def test_unreachable_states_are_refused_before_sampling(self, tmp_path, capsys, monkeypatch):
-        from xferlab import graphwalk
+        from xferlab import pathmeasure
 
         def never(*args):
             raise AssertionError("sampled a walk that never absorbs")
 
-        monkeypatch.setattr(graphwalk, "simulate_absorbing", never)
+        monkeypatch.setattr(pathmeasure, "simulate_absorbing", never)
         cfg = {"vertices": 5, "edges": [[0, 1, 1.0], [2, 3, 0.5], [3, 4, 0.25], [2, 4, 1.7]], "boundary": [0],
                "boundary_values": {"0": 1.0}, "start": 3, "count": 10, "seed": 1}
         code, report = run(tmp_path, "harmonic", cfg)

@@ -32,7 +32,7 @@ from xferlab import (
     daubechies4,
     fiber_average,
     haar_filter,
-    harmonic_correspondence,
+    hitting,
     hitting_verification,
     inner_product,
     integrate,
@@ -337,7 +337,7 @@ def test_a_single_absorbing_walk_has_standard_error_zero():
     h = Observable.from_values(space, [0.0, 0.5, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = harmonic_correspondence(R, h, mc_start=1, mc_count=1, seed=5)
+        rep = hitting(R, h.values, start=1, count=1, seed=5)
         hit = hitting_verification(path_network([1.0, 1.0]), {0: 0.0, 2: 1.0}, start=1, count=1, seed=5)
-    assert rep.mc_stderr == hit.stderr == 0.0
-    assert rep.mc_estimate == hit.estimate in (0.0, 1.0)
+    assert rep.stderr == hit.stderr == 0.0
+    assert rep.estimate == hit.estimate in (0.0, 1.0)

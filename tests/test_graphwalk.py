@@ -17,6 +17,7 @@ from xferlab import (
     harmonic_correspondence,
     harmonic_solve,
     harmonicity_residual,
+    hitting,
     hitting_verification,
     laplacian_apply,
     path_network,
@@ -151,10 +152,20 @@ class TestAbsorptionSolve:
         if exact is None:  # some interior component has no edge to the boundary
             with pytest.raises(ValueError, match="never reach an absorbing state"):
                 harmonic_solve(net, values)
+            with pytest.raises(ValueError, match="never reach an absorbing state"):
+                hitting_verification(net, values, 0, 1, 0)
             return
         h = harmonic_solve(net, values)
         assert np.max(np.abs(h.values - np.array(exact, dtype=float))) <= 1e-12
         assert harmonic_correspondence(transition_operator(net), h).boundary_residual <= 1e-12
+        # sigma^2 = E v^2 - (E v)^2, with E v^2 the exact solution on the squared values
+        squares = dirichlet_oracle(c, {b: v * v for b, v in values.items()})
+        vector = [float(values.get(x, 0)) for x in range(len(c))]
+        for x in range(len(c)):
+            rep = hitting_verification(net, values, x, 1, x)
+            assert rep == hitting(transition_operator(net), vector, x, 1, x)
+            assert rep.exact == h.values[x]
+            assert rep.sigma**2 == pytest.approx(float(squares[x] - exact[x] ** 2), abs=1e-10)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.1, 2), min_size=4, max_size=4), st.floats(-2, 2))

@@ -33,15 +33,19 @@ from xferlab import (
     correlation_mc,
     cylinder_expectation,
     harmonic_correspondence,
+    hitting,
     invariant_measure,
+    lift_conditional_residual,
     marginal_distribution,
     marginal_distribution_mc,
     multiplier_identity_residual,
+    ruelle_from_endo,
     ruelle_from_filter,
     sample_paths,
     sigma_expectation,
     v2_star,
 )
+from xferlab import pathmeasure
 from xferlab.errors import DegreeOverflowError
 from xferlab.pathmeasure import default_word_battery, real_moments
 from xferlab.rng import CHUNK
@@ -139,6 +143,20 @@ class TestCylinderExpectations:
             mu.weights[x] * cylinder_expectation(R, x, word) for x in range(sp.n)
         )
         assert sigma_expectation(mu, R, word) == pytest.approx(expect)
+
+    @pytest.mark.parametrize("x", [-1, 3, 1.0, True, "d"])
+    @pytest.mark.parametrize("entry", ["cylinder_expectation", "consistency_residual", "lift_conditional_residual"])
+    def test_a_point_outside_the_states_is_refused(self, entry, x):
+        sp = FiniteSpace(("a", "b", "c"), endo=(1, 2, 0))
+        R = ruelle_from_endo(sp)
+        word = CylinderFunctional((Observable.from_values(sp, [1.0, 2.0, 3.0]),) * 2)
+        calls = {
+            "cylinder_expectation": lambda: cylinder_expectation(R, x, word),
+            "consistency_residual": lambda: consistency_residual(R, x, word),
+            "lift_conditional_residual": lambda: lift_conditional_residual(R, [word], [x]),
+        }
+        with pytest.raises(ValueError, match="a point is a state index"):
+            calls[entry]()
 
     def test_circle_expectation_is_exact_coefficient_arithmetic(self, circle_R):
         space, R = circle_R
@@ -481,9 +499,9 @@ class TestHarmonicCorrespondence:
 
     def test_mc_absorption(self, gambler):
         sp, R, h = gambler
-        rep = harmonic_correspondence(R, h, mc_start=1, mc_count=50_000, seed=2)
-        assert rep.mc_capped == 0
-        assert abs(rep.mc_estimate - 0.5) < 4 * rep.mc_stderr
+        rep = hitting(R, h.values, start=1, count=50_000, seed=2)
+        assert rep.capped == 0 and rep.exact == 0.5
+        assert abs(rep.estimate - 0.5) < 4 * rep.stderr
 
     def test_non_harmonic_rejected(self, gambler):
         sp, R, _ = gambler
@@ -493,10 +511,17 @@ class TestHarmonicCorrespondence:
 
     @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 0, 1], [0, 1, 0]],  # I - Q singular
                                       [[1, 0, 0], [0, 1 / 3, 2 / 3], [0, 2 / 3, 1 / 3]]])  # singular up to rounding
-    def test_states_that_never_absorb_are_named(self, rows):
+    def test_states_that_never_absorb_are_named(self, rows, monkeypatch):
         sp = FiniteSpace(("a", "b", "c"))
         with pytest.raises(ValueError, match=r"states \[1, 2\] never reach"):
             harmonic_correspondence(MatrixOperator(sp, rows), Observable.constant(sp, 1.0))
+
+        def never(*args):
+            raise AssertionError("sampled a walk that never absorbs")
+
+        monkeypatch.setattr(pathmeasure, "simulate_absorbing", never)
+        with pytest.raises(ValueError, match=r"states \[1, 2\] never reach"):
+            hitting(MatrixOperator(sp, rows), [1.0, 0.0, 0.0], 1, 10, 1)
 
 
 @st.composite

@@ -36,7 +36,7 @@ from xferlab import (
 )
 from xferlab.cli import main
 from xferlab.graphwalk import hitting_verification, path_network
-from xferlab.pathmeasure import harmonic_correspondence, simulate_absorbing
+from xferlab.pathmeasure import hitting, simulate_absorbing
 from xferlab.rng import CHUNK, chunks
 from xferlab.statespace import Observable
 from xferlab.transferop import CERTIFICATE_C, _cdf_table, _closed_classes, _next_states
@@ -418,37 +418,31 @@ def ruin_operator(n: int = 3):
 
 
 @pytest.mark.parametrize("start", [-2, 3])
-@pytest.mark.parametrize("entry", ["simulate_absorbing", "hitting_verification", "harmonic_correspondence"])
+@pytest.mark.parametrize("entry", ["simulate_absorbing", "hitting_verification", "hitting"])
 def test_absorbing_walks_refuse_a_start_outside_the_states(entry, start):
     R, h = ruin_operator()
     calls = {
         "simulate_absorbing": lambda: simulate_absorbing(R.kernel, np.array([True, False, True]), start, 5, 1),
         "hitting_verification": lambda: hitting_verification(path_network([1.0, 1.0]), {0: 0.0, 2: 1.0}, start, 5, 1),
-        "harmonic_correspondence": lambda: harmonic_correspondence(R, h, mc_start=start, mc_count=5),
+        "hitting": lambda: hitting(R, h.values, start, 5, 1),
     }
     with pytest.raises(ValueError, match="start"):
         calls[entry]()
 
 
-@pytest.mark.parametrize("entry", ["finite", "circle", "simulate_absorbing", "hitting_verification"])
+@pytest.mark.parametrize("entry", ["finite", "circle", "simulate_absorbing", "hitting_verification", "hitting"])
 def test_walks_refuse_a_count_below_one(entry):
-    R, _ = ruin_operator()
+    R, h = ruin_operator()
     C = ruelle_from_filter(CircleSpace(), daubechies4().m0_coeffs())
     calls = {
         "finite": lambda: sample_paths(R, 1, 3, 0, 1),
         "circle": lambda: sample_paths(C, Fraction(1, 3), 3, 0, 1),
         "simulate_absorbing": lambda: simulate_absorbing(R.kernel, np.array([True, False, True]), 1, 0, 1),
         "hitting_verification": lambda: hitting_verification(path_network([1.0, 1.0]), {0: 0.0, 2: 1.0}, 1, 0, 1),
+        "hitting": lambda: hitting(R, h.values, 1, 0, 1),
     }
     with pytest.raises(ValueError, match="count"):
         calls[entry]()
-
-
-def test_harmonic_correspondence_skips_monte_carlo_at_count_zero():
-    R, h = ruin_operator()
-    rep = harmonic_correspondence(R, h, mc_start=1, mc_count=0)
-    assert (rep.mc_estimate, rep.mc_stderr, rep.mc_capped) == (None, None, 0)
-    assert rep.boundary_residual is not None
 
 
 def walk_by_paths(R, root, n, count, seed) -> list[list[Fraction]]:
