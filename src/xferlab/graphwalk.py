@@ -8,11 +8,14 @@ vanishes at interior vertices, equivalently P phi = phi there, and the
 Dirichlet solution equals the expected boundary value at absorption.
 ``hitting_verification`` checks that by Monte Carlo through
 ``pathmeasure.hitting`` on the walk operator, which runs the absorbing walks.
+A network builds its walk operator once, on first use, for the solve, the
+detailed-balance check and the hitting check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,6 +65,10 @@ class Network:
     def total_conductance(self) -> np.ndarray:
         return self.conductance.sum(axis=1)
 
+    @cached_property
+    def _operator(self) -> MatrixOperator:
+        return transition_operator(self)
+
 
 def transition_operator(net: Network) -> MatrixOperator:
     """Walk kernel p_xy = c_xy / c(x), with absorbing boundary rows."""
@@ -88,7 +95,7 @@ def harmonicity_residual(net: Network, phi: Observable) -> float:
 
 def detailed_balance_residual(net: Network) -> float:
     """Max |c(x) p_xy - c(y) p_yx| over interior pairs: reversibility of the walk."""
-    p = transition_operator(net).kernel
+    p = net._operator.kernel
     totals = net.total_conductance()
     flux = totals[:, None] * p
     interior = net._interior_mask()
@@ -114,7 +121,7 @@ def harmonic_solve(net: Network, boundary_values: Mapping[int, float]) -> Observ
     vertices without one are named in a ValueError, whatever the conductances.
     """
     v = _boundary_vector(net, boundary_values)
-    return Observable.from_values(net.space, transition_operator(net).harmonic_extension(v))
+    return Observable.from_values(net.space, net._operator.harmonic_extension(v))
 
 
 def hitting_verification(
@@ -122,7 +129,7 @@ def hitting_verification(
 ) -> HittingReport:
     """Compare h(start) with the Monte Carlo mean boundary value at absorption: ``pathmeasure.hitting``
     on the walk operator, with h the Dirichlet solution of ``harmonic_solve``."""
-    return hitting(transition_operator(net), _boundary_vector(net, boundary_values), start, count, seed)
+    return hitting(net._operator, _boundary_vector(net, boundary_values), start, count, seed)
 
 
 def path_network(conductances: Sequence[float]) -> Network:

@@ -17,10 +17,15 @@ entries of row x of the cumulative table below u.  A mu-rooted walk draws its
 first state by the same step on the one-row table of mu.  The table is the
 row-wise cumulative sum of K, pinned to 1.0 from the entry where the row
 reaches its total on, so a row whose float sum falls just short of 1 never
-yields index n or a state of probability zero.  The step finds the count by
-bisection, in ceil(log2 n) vectorised rounds; outside that rounding gap it
-returns exactly the index of the O(n) count, so the mapping from seed to paths
-is the one of xferlab 0.1.0.
+yields index n.  It is stored sparse, once per operator (``simulate_absorbing``
+builds it from its kernel per call): per row, column 0 and the columns where
+K > 0, padded to the widest row, d columns.  The step finds the count by
+bisection over those, in ceil(log2 d) vectorised rounds, and returns the
+column it lands on.  u = 0.0 counts no entry and maps to state 0, as in
+xferlab 0.1.0; that is the one draw that can pick a state of probability zero.
+Outside the rounding gap between a row's float total and 1 the step returns
+exactly the index of the O(n) count, so the mapping from seed to paths is the
+one of xferlab 0.1.0.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ realized exactly on Fourier coefficients as (R phi)_k = 2 (W * phi)_{2k},
 where * is coefficient convolution.  Unitality R1 = 1 and positivity are
 validated at construction.  Both finite walkers, ``MatrixOperator.walk`` and
 ``simulate_absorbing``, live here with the one inverse-CDF step they share;
-``simulate_absorbing`` has one caller, ``pathmeasure.hitting``.
+``simulate_absorbing`` has one caller, ``pathmeasure.hitting``.  A ``MatrixOperator``
+keeps its kernel read-only, so its fixed facts (fingerprint, sampling table, closed
+classes) are computed on first use and kept.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import copy
 import hashlib
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -85,6 +88,7 @@ class MatrixOperator(TransferOperator):
         rows = k.sum(axis=1)
         if not np.all(np.abs(rows - 1.0) <= UNITALITY_TOL):  # written so that a NaN row fails
             raise NormalizationError("rows must sum to 1 within 1e-12 (R1 = 1)")
+        k.flags.writeable = False  # not copied: the cached facts below stay true of it
         object.__setattr__(self, "kernel", k)
 
     def apply(self, phi: Observable) -> Observable:
@@ -92,8 +96,19 @@ class MatrixOperator(TransferOperator):
         return Observable.from_values(self.space, self.kernel @ phi.values)
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256(np.ascontiguousarray(self.kernel))
-        return "matrix:" + h.hexdigest()[:16]
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        return "matrix:" + hashlib.sha256(np.ascontiguousarray(self.kernel)).hexdigest()[:16]
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        return _cdf_table(self.kernel)
+
+    @cached_property
+    def _classes(self) -> list[np.ndarray]:
+        return _closed_classes(self.kernel)
 
     def lifted(self) -> "MatrixOperator":
         """R on a carrier that holds the product of two observables: a finite carrier already does."""
@@ -112,7 +127,7 @@ class MatrixOperator(TransferOperator):
         The certificate bounds the backward error |mu K - mu|, not the distance to the stationary law.
         """
         k = self.kernel
-        c, *others = _closed_classes(k)
+        c, *others = self._classes
         if others:
             msg = "the chain has more than one closed class; returning one fixed point"
             warnings.warn(msg, ReducibleChainWarning)
@@ -174,16 +189,17 @@ class MatrixOperator(TransferOperator):
 
     def walk(self, root, n: int, count: int, seed: int) -> np.ndarray:
         """The (count, n) state indices of ``sample_paths`` from a state index or a Measure:
-        the shared bisection step, vectorised across paths; a Measure root is one more step,
-        on the one-row table of its weights."""
-        table = _cdf_table(self.kernel)
+        the shared bisection step on the operator's table, vectorised across paths; a Measure
+        root is one more step, on the one-row table of its weights, built once per walk."""
+        table = self._table
+        first = _cdf_table(root.weights[None, :]) if isinstance(root, Measure) else None
         out = np.empty((count, n), dtype=np.intp)
         for rows, rng in chunks(count, seed):
             size = rows.stop - rows.start
-            if isinstance(root, Measure):
-                x = _next_states(_cdf_table(root.weights[None, :]), np.zeros(size, np.intp), rng.random(size))
-            else:
+            if first is None:
                 x = np.full(size, root, dtype=np.intp)
+            else:
+                x = _next_states(first, np.zeros(size, np.intp), rng.random(size))
             out[rows, 0] = x
             for step in range(1, n):
                 x = _next_states(table, x, rng.random(size))
@@ -218,31 +234,49 @@ def simulate_absorbing(
     return finals, capped
 
 
-def _cdf_table(kernel) -> np.ndarray:
-    """Row-wise cumulative sums of a stochastic kernel, 1.0 wherever a row has reached its total."""
-    cum = np.cumsum(kernel, axis=1)
-    np.copyto(cum, 1.0, where=cum >= cum[:, -1:])
-    return cum
+def _cdf_table(kernel) -> tuple[np.ndarray, np.ndarray]:
+    """The sampling table of a stochastic kernel: per row, column 0 and the columns where K > 0.
 
-
-def _next_states(table: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The sampling step: for each walker i, the number of entries of table[x[i]] below u[i].
-
-    Along a row the test ``entry < u`` holds on a prefix (the row is
-    nondecreasing up to its pinned 1.0 tail and u < 1), so a branchless
-    bisection finds the prefix length; indices past the row end read its 1.0.
+    Returns (cols, cum), both padded to the widest row: ``cols`` the column indices in order,
+    ``cum`` the row's cumulative sums at them, 1.0 wherever the row has reached its total (the
+    padding included).  The skipped entries are zeros, whose addition changes no bit, so ``cum``
+    is the dense pinned cumulative sum read at ``cols``.  Built in O(nonzeros) from ``np.nonzero``.
     """
-    n = table.shape[1]
-    flat = table.ravel()
-    base = x * n
-    end = base + (n - 1)
+    r, c = np.nonzero(kernel)
+    r, c = r[c > 0], c[c > 0]  # column 0 sits in slot 0 of every row, positive or not
+    slot = np.arange(r.size) - np.searchsorted(r, r) + 1  # r is sorted: 1 + the rank within the row
+    cols = np.zeros((len(kernel), 1 + slot.max(initial=0)), dtype=np.intp)
+    cols[r, slot] = c
+    vals = np.zeros(cols.shape)
+    vals[:, 0] = kernel[:, 0]
+    vals[r, slot] = kernel[r, c]
+    cum = np.cumsum(vals, axis=1)
+    np.copyto(cum, 1.0, where=cum >= cum[:, -1:])
+    return cols, cum
+
+
+def _next_states(table: tuple[np.ndarray, np.ndarray], x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The sampling step: for each walker i, the number of entries of the dense pinned cumulative
+    row x[i] below u[i], read off the stored columns of ``_cdf_table``.
+
+    Along a row the test ``entry < u`` holds on a prefix (the row is nondecreasing up to its
+    pinned 1.0 tail and u < 1), so a branchless bisection finds the count pos of stored entries
+    below u in ceil(log2 d) rounds, d the padded width; indices past the row end read its 1.0.
+    The next state is cols[x, pos]: the dense entry that first reaches u rises there, so K > 0
+    at it, or it is column 0, which every row stores (u = 0.0 maps to state 0).
+    """
+    cols, cum = table
+    d = cum.shape[1]
+    flat = cum.ravel()
+    base = x * d
+    end = base + (d - 1)
     pos = np.zeros_like(x)
-    step = (1 << (n - 1).bit_length()) >> 1
+    step = (1 << (d - 1).bit_length()) >> 1
     while step:
         cand = pos + step
         pos = np.where(flat.take(np.minimum(base + cand - 1, end)) < u, cand, pos)
         step >>= 1
-    return pos
+    return cols.take(base + pos)
 
 
 @dataclass(frozen=True, eq=False)

@@ -484,7 +484,7 @@ class TestTasks:
         dims = report["span_dimensions"]
         assert all(b > a for a, b in zip(dims, dims[1:]))
 
-    def test_harmonic(self, tmp_path):
+    def test_harmonic(self, tmp_path, monkeypatch):
         cfg = {
             "edges": [[0, 1, 1.0], [1, 2, 2.0]],
             "vertices": 3,
@@ -494,9 +494,14 @@ class TestTasks:
             "count": 5000,
             "seed": 1,
         }
+        built = []
+        build = xferlab.graphwalk.transition_operator
+        monkeypatch.setattr(xferlab.graphwalk, "transition_operator", lambda net: built.append(net) or build(net))
         code, report = run(tmp_path, "harmonic", cfg)
         assert code == 0
         assert report["values"][1] == pytest.approx(2 / 3)
+        assert report["exact"] == report["values"][1]
+        assert len(built) == 1  # one walk operator for the solve, the balance check and the walks
 
     def test_harmonic_edge_list(self, tmp_path):
         cfg = {

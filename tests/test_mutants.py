@@ -64,7 +64,7 @@ def circle_walk_swapped(mp):
 def finite_walk_shifted(mp):
     """The finite sampling table shifted by one row: a walk at state x draws from row x - 1 of K."""
     orig = transferop._cdf_table
-    mp.setattr(transferop, "_cdf_table", lambda kernel: np.roll(orig(kernel), 1, axis=0))
+    mp.setattr(transferop, "_cdf_table", lambda kernel: tuple(np.roll(a, 1, axis=0) for a in orig(kernel)))
 
 
 def compose_odd(mp):

@@ -34,6 +34,7 @@ from xferlab import (
     ruelle_from_filter,
     sample_paths,
 )
+from xferlab import transferop
 from xferlab.cli import main
 from xferlab.graphwalk import hitting_verification, path_network
 from xferlab.pathmeasure import hitting, simulate_absorbing
@@ -160,41 +161,61 @@ def _count_step(table, x, u):
     return (u[:, None] > table[x]).sum(axis=1)
 
 
+def pinned_cumsum(k) -> np.ndarray:
+    """The dense table of xferlab 0.1.0: row-wise cumulative sums, 1.0 from where a row reaches its total."""
+    raw = np.cumsum(k, axis=1)
+    return np.where(raw >= raw[:, -1:], 1.0, raw)
+
+
 @st.composite
 def kernel_and_draws(draw):
     n = draw(st.integers(1, 12))
-    entry = st.sampled_from([0.0, 0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0, 2.0, 7.0])
+    positive = [0.1, 0.25, 1 / 3, 0.5, 1.0, 2.0, 7.0]
+    entry = st.sampled_from([0.0, 0.0, *positive])
     k = np.array([[draw(entry) for _ in range(n)] for _ in range(n)])
     zero_tail = draw(st.integers(0, n - 1))
     if zero_tail:
         k[:, n - zero_tail :] = 0.0
+    dense = draw(st.none() | st.integers(0, n - 1))  # one full row among sparse ones: the others are padded
+    if dense is not None:
+        k[dense] = draw(st.lists(st.sampled_from(positive), min_size=n, max_size=n))
     empty = k.sum(axis=1) == 0
     k[empty, 0] = 1.0
     k /= k.sum(axis=1, keepdims=True)
     m = draw(st.integers(1, 20))
     x = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
-    table = _cdf_table(k)
+    table = pinned_cumsum(k)
     u = []
     for xi in x:
-        exact = st.sampled_from(sorted(set(float(c) for c in table[xi] if c < 1.0)) or [0.0])
+        exact = st.sampled_from(sorted({0.0} | {float(c) for c in table[xi] if c < 1.0}))
         u.append(draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), exact)))
-    return k, table, x, np.array(u)
+    return k, x, np.array(u)
 
 
 class TestSamplingStep:
     @settings(max_examples=300, deadline=None)
     @given(kernel_and_draws())
     def test_bisection_equals_the_count(self, case):
-        k, table, x, u = case
+        k, x, u = case
+        table = cols, cum = _cdf_table(k)
+        dense = pinned_cumsum(k)
         step = _next_states(table, x, u)
-        assert np.array_equal(step, _count_step(table, x, u))
-        # the table is the plain cumulative sum until the row reaches its total,
+        assert np.array_equal(step, _count_step(dense, x, u))
+        # each row stores column 0 and its positive columns, in order, padded to the widest row with 1.0;
+        # at the stored columns the table is the dense one, so the step needs no other entry
+        widths = [1 + np.count_nonzero(row[1:]) for row in k]
+        assert cum.shape == cols.shape == (len(k), max(widths))
+        for row, width in enumerate(widths):
+            stored = np.r_[0, 1 + np.flatnonzero(k[row, 1:])]
+            assert np.array_equal(cols[row, :width], stored)
+            assert np.array_equal(cum[row, :width], dense[row, stored])
+            assert np.all(cum[row, width:] == 1.0)
+        # the dense table is the plain cumulative sum until the row reaches its total,
         # so outside the rounding gap between that total and 1 the step is the
         # count over the plain cumulative sum
         raw = np.cumsum(k, axis=1)
-        assert np.array_equal(table, np.where(raw >= raw[:, -1:], 1.0, raw))
         for xi, ui, si in zip(x, u, step):
-            assert k[xi, si] > 0 or ui == 0.0  # u = 0 counts no entry, as before
+            assert k[xi, si] > 0 or ui == 0.0  # u = 0 counts no entry, as before: state 0
             if ui <= raw[xi, -1]:
                 assert si == _count_step(raw, np.array([xi]), np.array([ui]))[0]
 
@@ -213,6 +234,33 @@ class TestSamplingStep:
         table = _cdf_table(np.ones((1, 1)))
         x = np.zeros(5, dtype=np.intp)
         assert np.array_equal(_next_states(table, x, np.linspace(0, 0.99, 5)), x)
+
+
+class TestOperatorFacts:
+    """A matrix operator's kernel is read-only, and its fixed facts are computed once, on first use."""
+
+    def test_the_kernel_is_read_only(self):
+        R = MatrixOperator(FiniteSpace(("a", "b")), np.array([[0.5, 0.5], [0.25, 0.75]]))
+        with pytest.raises(ValueError):
+            R.kernel[0, 0] = 1.0
+
+    def test_two_walks_build_one_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(transferop, "_cdf_table", lambda k: built.append(k) or _cdf_table(k))
+        R = MatrixOperator(FiniteSpace(tuple(range(7))), formula_kernel(7))
+        first, second = (sample_paths(R, 3, 9, 1000, 11) for _ in range(2))
+        assert len(built) == 1
+        assert np.array_equal(first.samples, second.samples)
+        assert first.fingerprint == second.fingerprint == R.fingerprint()
+
+    def test_closed_classes_are_found_once_and_warned_on_every_call(self, monkeypatch):
+        found = []
+        monkeypatch.setattr(transferop, "_closed_classes", lambda k: found.append(k) or _closed_classes(k))
+        R = MatrixOperator(FiniteSpace(tuple(range(5))), reducible_kernel(5))
+        for _ in range(2):
+            with pytest.warns(ReducibleChainWarning):
+                invariant_measure(R)
+        assert len(found) == 1
 
 
 def reducible_kernel(n: int) -> np.ndarray:
