@@ -9,23 +9,10 @@ is restricted to the cylinder algebra (products of finitely many coordinate
 observables); everything else goes through seeded Monte Carlo ensembles.
 
 ``sample_paths`` runs the walker of its operator (``MatrixOperator.walk`` or
-``CircleRuelleOperator.walk``), and ``hitting``, the one Monte Carlo check of
-E_x(h(X_absorption)) = h(x), runs ``simulate_absorbing``.  On finite carriers
-those two walkers, both in ``transferop``, take one inverse-CDF step: from
-state x with a uniform draw u in [0, 1), the next state is the number of
-entries of row x of the cumulative table below u.  A mu-rooted walk draws its
-first state by the same step on the one-row table of mu.  The table is the
-row-wise cumulative sum of K, pinned to 1.0 from the entry where the row
-reaches its total on, so a row whose float sum falls just short of 1 never
-yields index n.  It is stored sparse, once per operator (``simulate_absorbing``
-builds it from its kernel per call): per row, column 0 and the columns where
-K > 0, padded to the widest row, d columns.  The step finds the count by
-bisection over those, in ceil(log2 d) vectorised rounds, and returns the
-column it lands on.  u = 0.0 counts no entry and maps to state 0, as in
-xferlab 0.1.0; that is the one draw that can pick a state of probability zero.
-Outside the rounding gap between a row's float total and 1 the step returns
-exactly the index of the O(n) count, so the mapping from seed to paths is the
-one of xferlab 0.1.0.
+``CircleRuelleOperator.walk``) and keeps the integer paths it returns in a
+``PathEnsemble``; ``hitting``, the one Monte Carlo check of
+E_x(h(X_absorption)) = h(x), runs ``simulate_absorbing``.  The walkers and the
+finite inverse-CDF step they share live in ``transferop``.
 """
 
 from __future__ import annotations
@@ -148,48 +135,56 @@ def consistency_residual(R: TransferOperator, x, f) -> float:
 class PathEnsemble:
     """Seeded i.i.d. sample of words from P_root (or Sigma when mu-rooted).
 
-    ``samples`` has shape (count, depth) on both carriers: state indices
-    (intp) on finite carriers, and on the circle exact Fraction angles in an
-    object array, so that solenoid compatibility can be checked exactly.
+    ``paths`` is a (count, depth) integer array on both carriers: state indices (intp), or on the circle
+    numerators N over the one denominator D = q 2^(depth - 1) of the root p/q, int64 while D < 2^53, else
+    Python ints.  ``samples`` is its exact view (``space.points``), built on each access and not kept.
     """
 
     space: object
+    root: object  # a point of the carrier, or a Measure
     depth: int
-    samples: np.ndarray
+    paths: np.ndarray
     fingerprint: str
 
     @property
     def count(self) -> int:
-        return len(self.samples)
+        return len(self.paths)
+
+    denominator = property(lambda self: self.space.denominator(self.root, self.depth))
+    samples = property(lambda self: self.space.points(self.paths, self.denominator))
 
     def functional_mean(self, f) -> tuple[float, float]:
         """Monte Carlo mean and standard error of a cylinder word or a black-box path function.
 
-        A word is evaluated one coordinate at a time across all paths; a
-        callable is called once per path and must return a scalar.
+        A word is evaluated one coordinate at a time across all paths (``space.coordinates``); a
+        callable is called once per path of ``samples`` and must return a scalar.
         """
         if isinstance(f, CylinderFunctional):
             if f.depth > self.depth:
                 raise ValueError(f"a word of depth {f.depth} needs paths of at least that depth")
             vals = np.ones(self.count, dtype=complex)
             for j, phi in enumerate(f.word):
-                vals *= phi(self.samples[:, j])
+                vals *= phi(self.space.coordinates(self.paths[:, j], self.denominator))
         else:
             vals = np.fromiter((f(p) for p in self.samples), complex, self.count)
         return mean_stderr(vals.real)
 
     def merge(self, other: "PathEnsemble") -> "PathEnsemble":
-        if (self.fingerprint, self.depth) != (other.fingerprint, other.depth):
-            raise CarrierMismatchError("can only merge ensembles of the same experiment")
-        samples = np.vstack([self.samples, other.samples])
-        return PathEnsemble(self.space, self.depth, samples, self.fingerprint)
+        """The paths of both, which must share the operator, the depth and the root (a Measure by its weights)."""
+        a, b = ((e.fingerprint, e.depth, e.root.weights.tolist() if isinstance(e.root, Measure) else e.root)
+                for e in (self, other))
+        if a != b:
+            raise CarrierMismatchError(f"can only merge ensembles of one operator, depth and root: {a} vs {b}")
+        return PathEnsemble(self.space, self.root, self.depth, np.vstack([self.paths, other.paths]), self.fingerprint)
 
     def to_csv(self, path) -> None:
+        """One row per path of ``space.label`` cells, each distinct point labelled once."""
+        values, inverse = np.unique(self.paths, return_inverse=True)
+        labels = np.fromiter(map(self.space.label, self.space.points(values, self.denominator)), object, values.size)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"x{i+1}" for i in range(self.depth)])
-            for row in self.samples:
-                writer.writerow([self.space.label(x) for x in row])
+            writer.writerows(labels[inverse.reshape(self.paths.shape)].tolist())
 
 
 def mean_stderr(vals: np.ndarray) -> tuple[float, float]:
@@ -214,7 +209,7 @@ def sample_paths(
         _check_same(R.space, root.space)
     else:
         root = R.space.point(root)
-    return PathEnsemble(R.space, n, R.walk(root, n, count, seed), R.fingerprint())
+    return PathEnsemble(R.space, root, n, R.walk(root, n, count, seed), R.fingerprint())
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def support_mass(R: TransferOperator, x, n: int) -> float:
 
 def ensemble_compatibility_violations(ensemble) -> int:
     """Number of sampled transitions violating the solenoid invariant."""
-    return ensemble.space.incompatible_transitions(ensemble.samples)
+    return ensemble.space.incompatible_paths(ensemble.paths, ensemble.denominator)
 
 
 def shift_invariance_residual(mu: Measure, R: TransferOperator, words) -> float:

@@ -101,10 +101,16 @@ class FiniteSpace:
     def random_observable(self, rng, max_degree: int = 8) -> "Observable":
         return Observable.from_values(self, rng.standard_normal(self.n))
 
-    def incompatible_transitions(self, words) -> int:
-        """Transitions x_k -> x_{k+1} with r(x_{k+1}) != x_k in equal-length words of indices."""
+    def incompatible_transitions(self, words, den: int = 1) -> int:
+        """Transitions x_k -> x_{k+1} with r(x_{k+1}) != x_k in equal-length words of indices (den, the path
+        layout's denominator, is 1 here)."""
         x = np.asarray(words)
         return int(np.count_nonzero(self.forward(x[:, 1:]) != x[:, :-1]))
+
+    # a path array (``PathEnsemble.paths``) holds state indices, which are their own exact and evaluable points
+    denominator = staticmethod(lambda root, depth: 1)
+    points = coordinates = staticmethod(lambda paths, den: paths)
+    incompatible_paths = incompatible_transitions
 
 
 @dataclass(frozen=True)
@@ -179,14 +185,8 @@ class CircleSpace:
 
     @staticmethod
     def incompatible_transitions(words) -> int:
-        """Transitions x_k -> x_{k+1} with 2 x_{k+1} != x_k (mod 1) in equal-length angle words.
-
-        For x_{k+1} = p/q in lowest terms, 2 x_{k+1} mod 1 in lowest terms is (2p mod q)/q
-        for odd q and (p mod q/2)/(q/2) for even q, and the transition is compatible iff
-        that is x_k mod 1 in lowest terms.  No common denominator is formed, so the cost is
-        linear in the entries.  Numerators are reduced mod q first, so the count runs on
-        int64 while every denominator is below 2^62, and on Python ints otherwise.
-        """
+        """``incompatible_paths`` of equal-length words of Fraction angles, read as numerators mod 1 over their
+        own denominators: int64 while every denominator is below 2^62, else Python ints."""
         x = np.asarray(words, dtype=object)
         if not x.size:
             return 0
@@ -194,7 +194,32 @@ class CircleSpace:
         den = [t.denominator for t in flat]
         dtype = np.int64 if max(den) < 2**62 else object
         q = np.array(den, dtype).reshape(x.shape)
-        p = np.array([t.numerator for t in flat], dtype).reshape(x.shape) % q
+        return CircleSpace.incompatible_paths(np.array([t.numerator for t in flat], dtype).reshape(x.shape) % q, q)
+
+    @staticmethod
+    def denominator(root: Fraction, depth: int) -> int:
+        """D = q 2^(depth - 1) for the root p/q: the paths (``PathEnsemble.paths``) are numerators over D."""
+        return root.denominator << (depth - 1)
+
+    @staticmethod
+    def points(paths, den: int) -> np.ndarray:
+        """The exact angles N / den of an integer array: an object array with one Fraction per distinct N."""
+        u, inv = np.unique(paths, return_inverse=True)
+        return np.fromiter((Fraction(n, den) for n in u.tolist()), object, u.size)[inv].reshape(np.shape(paths))
+
+    @staticmethod
+    def coordinates(paths, den: int):
+        """The floats N / den, each float(Fraction(N, den)): both divisions round correctly (README.md)."""
+        return paths / den
+
+    @staticmethod
+    def incompatible_paths(paths, den) -> int:
+        """Transitions x_k -> x_{k+1} with 2 x_{k+1} != x_k (mod 1) in rows of angles paths / den in [0, 1) (den
+        one denominator or one per entry).  With x_{k+1} = p/q in lowest terms (``np.gcd``), 2 x_{k+1} mod 1 in
+        lowest terms is (2p mod q)/q for odd q and (p mod q/2)/(q/2) for even q: compatible iff that is x_k."""
+        g = np.gcd(paths, den)
+        q = den // g
+        p = paths // g
         odd = q[:, 1:] & 1
         half = q[:, 1:] >> (1 - odd)  # the denominator of 2 x_{k+1}: q, or q / 2 for even q
         twice = (p[:, 1:] << odd) % half

@@ -374,25 +374,26 @@ class CircleRuelleOperator(TransferOperator):
         return []
 
     def walk(self, t0, n: int, count: int, seed: int) -> np.ndarray:
-        """The (count, n) angles of ``sample_paths`` from t0: from t to a square root of it, weighted by W.
-
-        Exact Fraction angles, one step per coordinate over the distinct angles: path i is at ``angles[k[i]]``,
-        whose preimages, row k[i] of ``pre``, get W from one ``weight_at`` call; it takes child 2k (u0) iff its
-        draw is below p0 and else 2k + 1, and ``np.unique`` compacts the children, distinct as their parents.
+        """The (count, n) paths of ``sample_paths`` from t0 = p/q, numerators over D = q 2^(n - 1) (int64 while
+        D < 2^53, else Python ints): from t to a square root of it, weighted by W, one step per coordinate over
+        the distinct angles N / den, den = q 2^step.  Path i is at ``num[k[i]]``, whose preimages N and N + den
+        over 2 den, row k[i] of ``pre``, get W at the floats of float(Fraction) from one ``weight_at`` call; it
+        takes child 2k (u0) iff its draw is below p0 and else 2k + 1, and ``np.unique`` compacts the children.
         """
         if isinstance(t0, Measure):
             raise ValueError("mu-rooted sampling is not supported on the circle carrier")
-        out = np.full((count, n), t0, dtype=object)
+        out = np.empty((count, n), np.int64 if self.space.denominator(t0, n) < 2**53 else object)
+        out[:, 0] = t0.numerator << (n - 1)
         for rows, rng in chunks(count, seed):
-            block = out[rows]
-            u = rng.random((len(block), max(n - 1, 1)))
-            angles, k = np.array([t0], dtype=object), np.zeros(len(block), dtype=np.intp)
+            u = rng.random((rows.stop - rows.start, max(n - 1, 1)))
+            num, k = np.array([t0.numerator], out.dtype), np.zeros(len(u), dtype=np.intp)
             for step in range(n - 1):
-                pre = CircleSpace.preimages(angles)
-                p0 = self._branch_probabilities(pre)[:, 0]
+                den = t0.denominator << step
+                pre = np.stack([num, num + den], axis=-1)
+                p0 = self._branch_probabilities(pre / (2 * den))[:, 0]
                 child, k = np.unique(2 * k + (u[:, step] >= p0[k]), return_inverse=True)
-                angles = pre.ravel()[child]
-                block[:, step + 1] = angles[k]
+                num = pre.ravel()[child]
+                out[rows, step + 1] = num[k] << (n - 2 - step)
         return out
 
 

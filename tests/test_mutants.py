@@ -61,6 +61,18 @@ def circle_walk_swapped(mp):
     mp.setattr(X.CircleRuelleOperator, "weight_at", lambda self, t: orig(self, t + Fraction(1, 2)))
 
 
+def circle_column_doubled(mp):
+    """The circle walk writes column 1 of its numerators at twice its scale: x_2 reads as 2 x_2, which is x_1."""
+    orig = X.CircleRuelleOperator.walk
+
+    def walk(self, *args):
+        out = orig(self, *args)
+        out[:, 1] *= 2
+        return out
+
+    mp.setattr(X.CircleRuelleOperator, "walk", walk)
+
+
 def finite_walk_shifted(mp):
     """The finite sampling table shifted by one row: a walk at state x draws from row x - 1 of K."""
     orig = transferop._cdf_table
@@ -243,6 +255,8 @@ ROWS = [
     Row("sample.solenoid_violations", transposed_kernel,
         _cli("sample", {"space": THREE_CYCLE, "operator": {"kind": "endo"}, "root": 0, "depth": 4, "count": 20,
                         "seed": 1}, "solenoid_violations")),
+    Row("sample.solenoid_violations", circle_column_doubled,
+        _cli("sample", {**CIRCLE_SAMPLE, "depth": 4, "count": 200}, "solenoid_violations")),
     Row("sample.mc_within_sigma", circle_walk_swapped, _cli("sample", CIRCLE_SAMPLE, "mc_within_sigma")),
     Row("invariance.stationarity", transposed_kernel, _cli("invariance", INVARIANCE, "stationarity")),
     Row("invariance.shift_invariance", half_apply, _cli("invariance", INVARIANCE, "shift_invariance")),

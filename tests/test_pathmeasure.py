@@ -335,6 +335,23 @@ class TestEnsembleLayout:
             with pytest.raises(CarrierMismatchError):
                 a.merge(b)
 
+    def test_merge_refuses_another_root(self, carrier):
+        space, R, root, _ = carrier
+        other = 0 if isinstance(space, FiniteSpace) else Fraction(1, 5)
+        a = sample_paths(R, root, 4, 5, seed=1)
+        with pytest.raises(CarrierMismatchError, match="root") as refused:
+            a.merge(sample_paths(R, other, 4, 5, seed=1))
+        assert str(refused.value).endswith(f"{root!r}) vs ('{a.fingerprint}', 4, {other!r})")
+        assert a.merge(sample_paths(R, root, 4, 5, seed=2)).count == 10
+
+    def test_merge_compares_measure_roots_by_their_weights(self, two_state):
+        sp, R = two_state
+        a = sample_paths(R, Measure.from_weights(sp, [0.25, 0.75]), 3, 5, seed=1)
+        assert a.merge(sample_paths(R, Measure.from_weights(sp, [0.25, 0.75]), 3, 5, seed=2)).count == 10
+        for other in (Measure.from_weights(sp, [0.75, 0.25]), 1):
+            with pytest.raises(CarrierMismatchError, match="root"):
+                a.merge(sample_paths(R, other, 3, 5, seed=1))
+
     def test_black_box_mean_matches_the_word_mean(self, carrier):
         space, R, root, _ = carrier
         ens = sample_paths(R, root, 4, 300, seed=5)

@@ -12,6 +12,7 @@ and report digests were recorded with the per-step orbit loop and ``np.savetxt``
 import functools
 import hashlib
 import json
+import math
 import time
 import warnings
 from fractions import Fraction
@@ -33,11 +34,12 @@ from xferlab import (
     invariant_measure,
     ruelle_from_filter,
     sample_paths,
+    uniform_circle_operator,
 )
 from xferlab import transferop
 from xferlab.cli import main
 from xferlab.graphwalk import hitting_verification, path_network
-from xferlab.pathmeasure import hitting, simulate_absorbing
+from xferlab.pathmeasure import CylinderFunctional, hitting, mean_stderr, simulate_absorbing
 from xferlab.rng import CHUNK, chunks
 from xferlab.statespace import Observable
 from xferlab.transferop import CERTIFICATE_C, _cdf_table, _closed_classes, _next_states
@@ -531,3 +533,32 @@ def test_circle_walk_equals_the_per_path_loop(m0, root, depth, count, seed):
     assert ens.samples.dtype == object and ens.samples.shape == (count, depth)
     assert {type(t) for t in ens.samples.flat} == {Fraction}
     assert ens.samples.tolist() == walk_by_paths(R, root, depth, count, seed)
+
+
+# (root denominator q, depth n): D = q 2^(n - 1) just below 2^53, at it, just above it, near 2^62 (where int64
+# would hold the numerators but lose bits converting them to float), and above 2^63 from a large q and from q = 3
+EDGE_DENOMINATORS = [(2**42 - 1, 12), (2**42, 12), (2**42 + 1, 12), (2**51 + 1, 12), (2**53 + 1, 12), (3, 64)]
+
+
+@pytest.mark.parametrize("q,depth", EDGE_DENOMINATORS)
+@pytest.mark.parametrize("weight", ["d4", "uniform"])  # uniform branching reaches the most distinct numerators
+def test_numerators_at_the_int64_and_float_edges_are_exact(q, depth, weight):
+    space = CircleSpace(degree=8)
+    R = uniform_circle_operator(space) if weight == "uniform" else ruelle_from_filter(space, daubechies4().m0_coeffs())
+    rng = np.random.default_rng(depth)
+    p = int(rng.integers(1, q))
+    while math.gcd(p, q) != 1:
+        p += 1
+    root = Fraction(p, q)
+    ens = sample_paths(R, root, depth, 300, 1)
+    D = q << (depth - 1)
+    assert ens.denominator == D and ens.paths.dtype == (np.int64 if D < 2**53 else object)
+    exact = ens.samples
+    floats = np.array([float(t) for t in exact.flat]).reshape(exact.shape)
+    assert np.array_equal((ens.paths / D).astype(float).view(np.uint64), floats.view(np.uint64))
+    assert exact.tolist() == walk_by_paths(R, root, depth, 300, 1)
+    word = CylinderFunctional(tuple(space.random_observable(rng) for _ in range(min(depth, 6))))
+    vals = np.ones(ens.count, dtype=complex)
+    for j, phi in enumerate(word.word):  # at the Fraction angles, as the walk's object arrays were read
+        vals *= phi(exact[:, j])
+    assert ens.functional_mean(word) == mean_stderr(vals.real)
