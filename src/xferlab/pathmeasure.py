@@ -365,7 +365,7 @@ def hitting(R: TransferOperator, values, start: int, count: int, seed: int) -> H
     second = R.harmonic_extension(values**2)
     absorbing = np.zeros(R.space.n, dtype=bool)
     absorbing[R.absorbing_states()] = True
-    finals, capped = simulate_absorbing(R.kernel, absorbing, start, count, seed)
+    finals, capped = simulate_absorbing(R, absorbing, start, count, seed)
     estimate, stderr = mean_stderr(h[finals])
     exact = float(h[start])
     return HittingReport(exact, float(np.sqrt(max(second[start] - exact**2, 0.0))), estimate, stderr, capped)

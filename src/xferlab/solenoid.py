@@ -118,22 +118,20 @@ def apply_wavelet_U(m: Observable, f: CylinderFunctional) -> CylinderFunctional:
     return CylinderFunctional((m * lifted.word[0],) + lifted.word[1:])
 
 
-def conditional_two(R: TransferOperator, f, x1, x2):
-    """E_{x1,x2}(f) = phi_1(x1) E_{x2}(phi_2, ..., phi_n), conditioned on the first two coordinates."""
-    out = f.word[0](x1)
-    if f.depth >= 2:
-        out = out * conditional_expectation(R, CylinderFunctional(f.word[1:]))(x2)
-    return out
-
-
 def lift_conditional_residual(R: TransferOperator, words, points) -> float:
-    """Max residual of E_x(f o rhat) = E_{r(x), x}(f) over words and points x (checked by ``space.point``)."""
-    points = [R.space.point(x) for x in points]
+    """Max residual of E_x(f o rhat) = E_{r(x), x}(f) = phi_1(r(x)) E_x(phi_2, ..., phi_n) over words and
+    points x (checked by ``space.point``).  Each expectation is taken once per word and evaluated once on
+    the array of points, and phi_1 once on the array r(x)."""
+    pts = [R.space.point(x) for x in points]
+    x = np.array(pts, dtype=None if pts else np.intp)  # Fractions in an object array on the circle
+    rx = R.space.forward(x)
     res = 0.0
     for f in words:
-        lifted = conditional_expectation(R, word_compose_rhat(f))
-        for x in points:
-            res = max(res, abs(lifted(x) - conditional_two(R, f, R.space.forward(x), x)))
+        rhs = f.word[0](rx)
+        if f.depth >= 2:
+            rhs = rhs * conditional_expectation(R, CylinderFunctional(f.word[1:]))(x)
+        lhs = conditional_expectation(R, word_compose_rhat(f))(x)
+        res = max(res, float(np.max(np.abs(lhs - rhs), initial=0.0)))
     return res
 
 

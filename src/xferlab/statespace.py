@@ -186,15 +186,15 @@ class CircleSpace:
     @staticmethod
     def incompatible_transitions(words) -> int:
         """``incompatible_paths`` of equal-length words of Fraction angles, read as numerators mod 1 over their
-        own denominators: int64 while every denominator is below 2^62, else Python ints."""
+        own denominators, reduced before the choice of int64 (while every denominator is below 2^62) or Python ints."""
         x = np.asarray(words, dtype=object)
         if not x.size:
             return 0
         flat = x.ravel().tolist()
         den = [t.denominator for t in flat]
         dtype = np.int64 if max(den) < 2**62 else object
-        q = np.array(den, dtype).reshape(x.shape)
-        return CircleSpace.incompatible_paths(np.array([t.numerator for t in flat], dtype).reshape(x.shape) % q, q)
+        num = [t.numerator % t.denominator for t in flat]
+        return CircleSpace.incompatible_paths(*(np.array(a, dtype).reshape(x.shape) for a in (num, den)))
 
     @staticmethod
     def denominator(root: Fraction, depth: int) -> int:

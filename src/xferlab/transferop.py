@@ -9,7 +9,7 @@ trig-polynomial weight W (typically |m0|^2 / 2 for a filter m0):
 realized exactly on Fourier coefficients as (R phi)_k = 2 (W * phi)_{2k},
 where * is coefficient convolution.  Unitality R1 = 1 and positivity are
 validated at construction.  Both finite walkers, ``MatrixOperator.walk`` and
-``simulate_absorbing``, live here with the one inverse-CDF step they share;
+``simulate_absorbing``, live here with the one guided inverse-CDF step and the one table they share;
 ``simulate_absorbing`` has one caller, ``pathmeasure.hitting``.  A ``MatrixOperator``
 keeps its kernel read-only, so its fixed facts (fingerprint, sampling table, closed
 classes) are computed on first use and kept.
@@ -189,7 +189,7 @@ class MatrixOperator(TransferOperator):
 
     def walk(self, root, n: int, count: int, seed: int) -> np.ndarray:
         """The (count, n) state indices of ``sample_paths`` from a state index or a Measure:
-        the shared bisection step on the operator's table, vectorised across paths; a Measure
+        the shared guided step on the operator's table, vectorised across paths; a Measure
         root is one more step, on the one-row table of its weights, built once per walk."""
         table = self._table
         first = _cdf_table(root.weights[None, :]) if isinstance(root, Measure) else None
@@ -208,75 +208,90 @@ class MatrixOperator(TransferOperator):
 
 
 def simulate_absorbing(
-    kernel: np.ndarray, absorbing: np.ndarray, start: int, count: int, seed: int
+    R: MatrixOperator, absorbing: np.ndarray, start: int, count: int, seed: int
 ) -> tuple[np.ndarray, int]:
-    """Run walks from `start` until they hit an absorbing state or STEP_CAP steps.
+    """Run walks of R from `start` until they hit an absorbing state or STEP_CAP steps.
 
     Returns (final state per walk, number of walks that hit the cap); capped walks are reported,
-    never silently dropped.  A start outside [0, n) or a count below 1 raises ValueError.
-    Each step draws one uniform for each live walk, in walk order.
+    never silently dropped, with their state at the cap.  A start outside [0, n) or a count below 1
+    raises ValueError.  Each step draws one uniform for each live walk, in walk order, on R's table;
+    the live walks are kept compacted, and a walk's final state is written when it absorbs.
     """
-    if not 0 <= start < len(kernel) or count < 1:
-        raise ValueError(f"need a start index in [0, {len(kernel)}) and a count >= 1, got start {start}, count {count}")
-    table = _cdf_table(kernel)
+    if not 0 <= start < R.space.n or count < 1:
+        raise ValueError(f"need a start index in [0, {R.space.n}) and a count >= 1, got start {start}, count {count}")
     finals = np.full(count, int(start), dtype=np.intp)
-    capped = 0
+    if absorbing[start]:
+        return finals, 0
+    table, capped = R._table, 0
     for rows, rng in chunks(count, seed):
-        x = finals[rows]  # a view: the walks of this chunk move in place
-        live = np.flatnonzero(~absorbing[x])
+        live = np.arange(rows.start, rows.stop)  # the walks still moving, in walk order, and their states x
+        x = finals[live]
         for _ in range(STEP_CAP):
             if not live.size:
                 break
-            step = _next_states(table, x[live], rng.random(live.size))
-            x[live] = step
-            live = live[~absorbing[step]]
+            x = _next_states(table, x, rng.random(live.size))
+            done = absorbing[x]
+            if done.any():
+                finals[live[done]] = x[done]
+                live, x = live[~done], x[~done]
+        finals[live] = x
         capped += live.size
     return finals, capped
 
 
-def _cdf_table(kernel) -> tuple[np.ndarray, np.ndarray]:
-    """The sampling table of a stochastic kernel: per row, column 0 and the columns where K > 0.
+def _cdf_table(kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The guided sampling table of a stochastic kernel: per row, column 0 and the columns where K > 0.
 
-    Returns (cols, cum), both padded to the widest row: ``cols`` the column indices in order,
-    ``cum`` the row's cumulative sums at them, 1.0 wherever the row has reached its total (the
-    padding included).  The skipped entries are zeros, whose addition changes no bit, so ``cum``
-    is the dense pinned cumulative sum read at ``cols``.  Built in O(nonzeros) from ``np.nonzero``.
+    Returns (cols, cum, guide, rounds).  ``cols`` holds the column indices in order and ``cum`` the
+    row's cumulative sums at them, 1.0 wherever the row has reached its total; the skipped entries
+    are zeros, whose addition changes no bit, so ``cum`` is the dense pinned cumulative sum read at
+    ``cols``.  Both are padded to the widest row, d entries, and then by 2^rounds - 1 more columns
+    (1.0 in ``cum``), so a bisection never reads past a row.  ``guide[x, b]`` (int32) is the number
+    of entries of row x below b/m for m = 2 pow2(d) buckets, pow2(d) the least power of two >= d,
+    counted from floor(min(cum, 1) m) by one bincount and cumsum; ``rounds`` is the bit length of
+    the widest bucket's count of entries below 1, at most ceil(log2 d).  Built in O(nonzeros + rows m)
+    from ``np.nonzero``.
     """
     r, c = np.nonzero(kernel)
     r, c = r[c > 0], c[c > 0]  # column 0 sits in slot 0 of every row, positive or not
     slot = np.arange(r.size) - np.searchsorted(r, r) + 1  # r is sorted: 1 + the rank within the row
-    cols = np.zeros((len(kernel), 1 + slot.max(initial=0)), dtype=np.intp)
-    cols[r, slot] = c
-    vals = np.zeros(cols.shape)
+    n, d = len(kernel), 1 + int(slot.max(initial=0))
+    m = 2 << (d - 1).bit_length()  # a power of two, so u m and b / m are exact
+    vals = np.zeros((n, d))
     vals[:, 0] = kernel[:, 0]
     vals[r, slot] = kernel[r, c]
-    cum = np.cumsum(vals, axis=1)
+    cum = np.cumsum(vals, axis=1, out=vals)
     np.copyto(cum, 1.0, where=cum >= cum[:, -1:])
-    return cols, cum
+    keys = (np.minimum(cum, 1.0) * m).astype(np.intp) + np.arange(0, n * (m + 1), m + 1)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=n * (m + 1)).reshape(n, m + 1)[:, :m]
+    rounds = int(counts.max()).bit_length()
+    guide = np.cumsum(counts, axis=1, dtype=np.int32)
+    guide -= counts  # in place, as int32: the count below each bucket's left edge
+    pad = (1 << rounds) - 1
+    cols = np.zeros((n, d + pad), dtype=np.intp)
+    cols[r, slot] = c
+    return cols, np.pad(cum, ((0, 0), (0, pad)), constant_values=1.0), guide, rounds
 
 
-def _next_states(table: tuple[np.ndarray, np.ndarray], x: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _next_states(table: tuple[np.ndarray, np.ndarray, np.ndarray, int], x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The sampling step: for each walker i, the number of entries of the dense pinned cumulative
     row x[i] below u[i], read off the stored columns of ``_cdf_table``.
 
     Along a row the test ``entry < u`` holds on a prefix (the row is nondecreasing up to its
-    pinned 1.0 tail and u < 1), so a branchless bisection finds the count pos of stored entries
-    below u in ceil(log2 d) rounds, d the padded width; indices past the row end read its 1.0.
-    The next state is cols[x, pos]: the dense entry that first reaches u rises there, so K > 0
-    at it, or it is column 0, which every row stores (u = 0.0 maps to state 0).
+    pinned 1.0 tail and u < 1).  The guide gives the count pos of entries below floor(u m) / m,
+    and the rest of the count lies in u's bucket, so a branchless bisection there finds it in
+    ``rounds`` rounds; the padding past the row end reads 1.0.  The next state is cols[x, pos]: the
+    dense entry that first reaches u rises there, so K > 0 at it, or it is column 0, which every
+    row stores (u = 0.0 maps to state 0).
     """
-    cols, cum = table
-    d = cum.shape[1]
-    flat = cum.ravel()
-    base = x * d
-    end = base + (d - 1)
-    pos = np.zeros_like(x)
-    step = (1 << (d - 1).bit_length()) >> 1
+    cols, cum, guide, rounds = table
+    m = guide.shape[1]
+    pos = x * cum.shape[1] + guide.take(x * m + (u * m).astype(np.intp))
+    step = (1 << rounds) >> 1
     while step:
-        cand = pos + step
-        pos = np.where(flat.take(np.minimum(base + cand - 1, end)) < u, cand, pos)
+        pos += step * (cum.take(pos + (step - 1)) < u)
         step >>= 1
-    return cols.take(base + pos)
+    return cols.take(pos)
 
 
 @dataclass(frozen=True, eq=False)

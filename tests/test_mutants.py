@@ -76,7 +76,12 @@ def circle_column_doubled(mp):
 def finite_walk_shifted(mp):
     """The finite sampling table shifted by one row: a walk at state x draws from row x - 1 of K."""
     orig = transferop._cdf_table
-    mp.setattr(transferop, "_cdf_table", lambda kernel: tuple(np.roll(a, 1, axis=0) for a in orig(kernel)))
+
+    def shifted(kernel):
+        *arrays, rounds = orig(kernel)  # cols, cum and guide move; the round count is a bound over all rows
+        return (*(np.roll(a, 1, axis=0) for a in arrays), rounds)
+
+    mp.setattr(transferop, "_cdf_table", shifted)
 
 
 def compose_odd(mp):

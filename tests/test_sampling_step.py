@@ -16,6 +16,7 @@ import math
 import time
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,10 +78,10 @@ def samples_digest(n, root, depth, count, seed) -> str:
 
 
 def absorbing_digest(n, start, count, seed) -> tuple[str, int]:
-    k = ruin_kernel(n)
+    R = MatrixOperator(FiniteSpace(tuple(range(n))), ruin_kernel(n))
     absorbing = np.zeros(n, dtype=bool)
     absorbing[[0, n - 1]] = True
-    finals, capped = simulate_absorbing(k, absorbing, start, count, seed)
+    finals, capped = simulate_absorbing(R, absorbing, start, count, seed)
     return hashlib.sha256(np.ascontiguousarray(finals, dtype=np.int64)).hexdigest(), capped
 
 
@@ -169,11 +170,18 @@ def pinned_cumsum(k) -> np.ndarray:
     return np.where(raw >= raw[:, -1:], 1.0, raw)
 
 
+def guide_buckets(k) -> int:
+    """m = 2 pow2(d) for the widest row's d stored entries (column 0 and the positive columns)."""
+    d = 1 + max(int(np.count_nonzero(row[1:])) for row in k)
+    return 2 << (d - 1).bit_length()
+
+
 @st.composite
 def kernel_and_draws(draw):
     n = draw(st.integers(1, 12))
     positive = [0.1, 0.25, 1 / 3, 0.5, 1.0, 2.0, 7.0]
-    entry = st.sampled_from([0.0, 0.0, *positive])
+    tiny = [1e-9, 1e-6, 1e-3]  # a cluster of them shares one guide bucket, so a bucket holds several entries
+    entry = st.sampled_from([0.0, 0.0, *positive, *(tiny if draw(st.booleans()) else [])])
     k = np.array([[draw(entry) for _ in range(n)] for _ in range(n)])
     zero_tail = draw(st.integers(0, n - 1))
     if zero_tail:
@@ -184,34 +192,48 @@ def kernel_and_draws(draw):
     empty = k.sum(axis=1) == 0
     k[empty, 0] = 1.0
     k /= k.sum(axis=1, keepdims=True)
+    off = draw(st.lists(st.floats(-1e-12, 1e-12), min_size=n, max_size=n))  # rows off 1, as R1 = 1 allows
+    k *= 1.0 + np.array(off)[:, None]
     m = draw(st.integers(1, 20))
     x = np.array(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)), dtype=np.intp)
     table = pinned_cumsum(k)
+    edges = [b / guide_buckets(k) for b in range(guide_buckets(k))]
     u = []
     for xi in x:
         exact = st.sampled_from(sorted({0.0} | {float(c) for c in table[xi] if c < 1.0}))
-        u.append(draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), exact)))
+        edge = st.sampled_from(edges).flatmap(lambda e: st.sampled_from([e, np.nextafter(e, 0.0)]))
+        u.append(draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), exact, edge)))
     return k, x, np.array(u)
 
 
 class TestSamplingStep:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(kernel_and_draws())
-    def test_bisection_equals_the_count(self, case):
+    def test_guided_bisection_equals_the_count(self, case):
         k, x, u = case
-        table = cols, cum = _cdf_table(k)
+        table = cols, cum, guide, rounds = _cdf_table(k)
         dense = pinned_cumsum(k)
         step = _next_states(table, x, u)
         assert np.array_equal(step, _count_step(dense, x, u))
-        # each row stores column 0 and its positive columns, in order, padded to the widest row with 1.0;
-        # at the stored columns the table is the dense one, so the step needs no other entry
+        # each row stores column 0 and its positive columns, in order, padded to the widest row and
+        # then by 2^rounds - 1 more columns, with 1.0; at the stored columns the table is the dense
+        # one, so the step needs no other entry
         widths = [1 + np.count_nonzero(row[1:]) for row in k]
-        assert cum.shape == cols.shape == (len(k), max(widths))
+        d, m = max(widths), guide_buckets(k)
+        assert cum.shape == cols.shape == (len(k), d + (1 << rounds) - 1)
+        assert guide.shape == (len(k), m) and guide.dtype == np.int32
+        assert rounds <= math.ceil(math.log2(d))
         for row, width in enumerate(widths):
             stored = np.r_[0, 1 + np.flatnonzero(k[row, 1:])]
             assert np.array_equal(cols[row, :width], stored)
             assert np.array_equal(cum[row, :width], dense[row, stored])
             assert np.all(cum[row, width:] == 1.0)
+            # the guide is the count of stored entries below each bucket's left edge b / m, and no
+            # bucket holds more entries below 1 than the bisection's 2^rounds - 1
+            edges = np.arange(m) / m
+            assert np.array_equal(guide[row], (cum[row, :width, None] < edges).sum(axis=0))
+            in_bucket = np.diff(np.r_[guide[row], (cum[row, :width] < 1.0).sum()])
+            assert in_bucket.max() < 1 << rounds
         # the dense table is the plain cumulative sum until the row reaches its total,
         # so outside the rounding gap between that total and 1 the step is the
         # count over the plain cumulative sum
@@ -220,6 +242,17 @@ class TestSamplingStep:
             assert k[xi, si] > 0 or ui == 0.0  # u = 0 counts no entry, as before: state 0
             if ui <= raw[xi, -1]:
                 assert si == _count_step(raw, np.array([xi]), np.array([ui]))[0]
+
+    def test_a_cluster_of_tiny_weights_takes_more_rounds(self):
+        # ten entries of 1e-4 after 0.5 fall in one bucket of width 1/32: the bisection there takes 4 rounds
+        k = np.zeros((2, 12))
+        k[0, 0], k[0, 1:11], k[0, 11] = 0.5, 1e-4, 0.5 - 1e-3
+        k[1, 1] = 1.0
+        table = _cdf_table(k)
+        assert table[3] == 4 == math.ceil(math.log2(12))
+        u = np.r_[0.5 + np.arange(12) * 1e-4 - 5e-5, 0.5, np.nextafter(0.5, 0.0), 17 / 32, 0.999]
+        x = np.zeros(u.size, dtype=np.intp)
+        assert np.array_equal(_next_states(table, x, u), _count_step(pinned_cumsum(k), x, u))
 
     def test_short_row_never_returns_n(self):
         k = np.array([[0.25, 0.25, 0.5 - 5e-13], [0.5, 0.25, 0.25]])
@@ -238,6 +271,54 @@ class TestSamplingStep:
         assert np.array_equal(_next_states(table, x, np.linspace(0, 0.99, 5)), x)
 
 
+def absorbing_by_steps(k, absorbing, start, count, seed, cap) -> tuple[np.ndarray, int]:
+    """Oracle: the per-step absorbing loop with the O(states) count, which gathered and scattered
+    the states of the live walks at every step."""
+    dense = pinned_cumsum(k)
+    finals = np.full(count, start, dtype=np.intp)
+    capped = 0
+    for rows, rng in chunks(count, seed):
+        x = finals[rows]
+        live = np.flatnonzero(~absorbing[x])
+        for _ in range(cap):
+            if not live.size:
+                break
+            step = _count_step(dense, x[live], rng.random(live.size))
+            x[live] = step
+            live = live[~absorbing[step]]
+        capped += live.size
+    return finals, capped
+
+
+@st.composite
+def absorbing_chains(draw):
+    """Random sparse chains of 2-50 states: some absorbing, the rest with a few random successors,
+    up to all 50, so some walks absorb at once, some wander and some never absorb."""
+    n = draw(st.integers(2, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.where(rng.random((n, n)) < draw(st.sampled_from([0.05, 0.2, 1.0])), rng.uniform(0.01, 1.0, (n, n)), 0.0)
+    absorbing = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    k[absorbing] = 0.0
+    k[absorbing, np.flatnonzero(absorbing)] = 1.0
+    k[k.sum(axis=1) == 0, 0] = 1.0
+    k /= k.sum(axis=1, keepdims=True)
+    absorbing = np.isclose(np.diag(k), 1.0, atol=1e-12)
+    return k, absorbing, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(absorbing_chains(), st.integers(1, 600), st.integers(0, 2**32 - 1), st.integers(1, 80))
+@example((ruin_kernel(12), np.isin(np.arange(12), [0, 11]), 5), CHUNK + 37, 3, 40)
+def test_absorbing_walks_equal_the_per_step_loop(chain, count, seed, cap):
+    k, absorbing, start = chain
+    R = MatrixOperator(FiniteSpace(tuple(range(len(k)))), k)
+    with mock.patch.object(transferop, "STEP_CAP", cap):
+        finals, capped = simulate_absorbing(R, absorbing, start, count, seed)
+    expected, expected_capped = absorbing_by_steps(k, absorbing, start, count, seed, cap)
+    assert np.array_equal(finals, expected)
+    assert capped == expected_capped
+
+
 class TestOperatorFacts:
     """A matrix operator's kernel is read-only, and its fixed facts are computed once, on first use."""
 
@@ -254,6 +335,15 @@ class TestOperatorFacts:
         assert len(built) == 1
         assert np.array_equal(first.samples, second.samples)
         assert first.fingerprint == second.fingerprint == R.fingerprint()
+
+    def test_walks_and_absorbing_walks_share_one_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(transferop, "_cdf_table", lambda k: built.append(k) or _cdf_table(k))
+        R, h = ruin_operator(12)
+        reports = [hitting(R, h.values, 5, 500, 3) for _ in range(2)]
+        sample_paths(R, 5, 4, 100, 1)
+        assert len(built) == 1
+        assert reports[0] == reports[1]
 
     def test_closed_classes_are_found_once_and_warned_on_every_call(self, monkeypatch):
         found = []
@@ -472,7 +562,7 @@ def ruin_operator(n: int = 3):
 def test_absorbing_walks_refuse_a_start_outside_the_states(entry, start):
     R, h = ruin_operator()
     calls = {
-        "simulate_absorbing": lambda: simulate_absorbing(R.kernel, np.array([True, False, True]), start, 5, 1),
+        "simulate_absorbing": lambda: simulate_absorbing(R, np.array([True, False, True]), start, 5, 1),
         "hitting_verification": lambda: hitting_verification(path_network([1.0, 1.0]), {0: 0.0, 2: 1.0}, start, 5, 1),
         "hitting": lambda: hitting(R, h.values, start, 5, 1),
     }
@@ -487,7 +577,7 @@ def test_walks_refuse_a_count_below_one(entry):
     calls = {
         "finite": lambda: sample_paths(R, 1, 3, 0, 1),
         "circle": lambda: sample_paths(C, Fraction(1, 3), 3, 0, 1),
-        "simulate_absorbing": lambda: simulate_absorbing(R.kernel, np.array([True, False, True]), 1, 0, 1),
+        "simulate_absorbing": lambda: simulate_absorbing(R, np.array([True, False, True]), 1, 0, 1),
         "hitting_verification": lambda: hitting_verification(path_network([1.0, 1.0]), {0: 0.0, 2: 1.0}, 1, 0, 1),
         "hitting": lambda: hitting(R, h.values, 1, 0, 1),
     }
