@@ -37,7 +37,7 @@ STATIONARY = {"kind": "stationary"}
 
 
 def _claim(name, value, tolerance, rule="abs<=tol", reference=None):
-    value = float(np.real(value))
+    value = complex(value)  # jsonify writes [re, im], or a plain number when the value is real
     if rule == "abs<=tol":
         ok = abs(value) <= tolerance
     elif rule == "abs-diff<=tol":
@@ -83,7 +83,7 @@ def run_expectation(cfg):
         val = pathmeasure.sigma_expectation(mu, R, word)
     if expected is not None:
         claims.append(_claim("expectation", val, tol, "abs-diff<=tol", expected))
-    return {"expectation": complex(val).real}, claims
+    return {"expectation": complex(val)}, claims
 
 
 def run_sample(cfg):
@@ -208,6 +208,7 @@ def run_harmonic(cfg):
         if count and given is None:
             raise ValueError(f"{key} is required for Monte Carlo verification (count > 0)")
     c = np.zeros((n, n))
+    seen = {}
     for i, edge in enumerate(edges):
         name = f"edges[{i}]"
         if len(edge) != 3:
@@ -215,6 +216,9 @@ def run_harmonic(cfg):
         u, v = (value(edge[j], int, f"{name}[{j}]", minimum=0) for j in (0, 1))
         if max(u, v) >= n:
             raise ValueError(f"{name} joins a vertex outside [0, {n})")
+        if (pair := frozenset((u, v))) in seen:
+            raise ValueError(f"{name} repeats the edge {{{u}, {v}}} of {seen[pair]}")
+        seen[pair] = name
         c[u, v] = c[v, u] = value(edge[2], float, f"{name}[2]")
     space = FiniteSpace(tuple(f"v{i}" for i in range(n)))
     net = graphwalk.Network(space, c, tuple(boundary))
@@ -243,8 +247,8 @@ def run_correlate(cfg):
     phi = observable_from_json(space, field(cfg, "phi", dict), "phi")
     psi = observable_from_json(space, field(cfg, "psi", dict), "psi")
     mu = measure_from_json(space, field(cfg, "measure", dict, STATIONARY), R)
-    values = {str(k): complex(pathmeasure.correlation(mu, R, phi, psi, k)).real for k in lags}
-    limit = complex(integrate(mu, phi) * integrate(mu, psi)).real
+    values = {str(k): complex(pathmeasure.correlation(mu, R, phi, psi, k)) for k in lags}
+    limit = complex(integrate(mu, phi) * integrate(mu, psi))
     return {"correlations": values, "product_of_means": limit}, []
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NormalizationError
 from .pathmeasure import HittingReport, hitting
-from .statespace import FiniteSpace, Observable
+from .statespace import FiniteSpace, Observable, worst
 from .transferop import MatrixOperator
 
 
@@ -90,7 +90,7 @@ def laplacian_apply(net: Network, phi: Observable) -> np.ndarray:
 def harmonicity_residual(net: Network, phi: Observable) -> float:
     """Max |Delta phi| over interior vertices."""
     lap = laplacian_apply(net, phi)
-    return float(np.max(np.abs(lap[net._interior_mask()]))) if net.interior else 0.0
+    return worst(np.abs(lap[net._interior_mask()]))
 
 
 def detailed_balance_residual(net: Network) -> float:
@@ -100,7 +100,7 @@ def detailed_balance_residual(net: Network) -> float:
     flux = totals[:, None] * p
     interior = net._interior_mask()
     sub = flux[np.ix_(interior, interior)]
-    return float(np.max(np.abs(sub - sub.T))) if sub.size else 0.0
+    return worst(np.abs(sub - sub.T))
 
 
 def _boundary_vector(net: Network, boundary_values: Mapping[int, float]) -> np.ndarray:

@@ -29,6 +29,7 @@ from .statespace import (
     Measure,
     Observable,
     integrate,
+    worst,
     _check_same,
     _require,
 )
@@ -231,12 +232,7 @@ def v2_star(R: TransferOperator, mu: Measure, f) -> Observable:
 def multiplier_identity_residual(R: TransferOperator, mu: Measure, words) -> float:
     """Max residual of V2*(f o sigma) = rho E_bullet(f) with rho = R* 1."""
     rho = adjoint_apply(R, mu, Observable.constant(R.space, 1.0))
-    res = 0.0
-    for f in words:
-        lhs = v2_star(R, mu, f.shifted())
-        rhs = rho * conditional_expectation(R, f)
-        res = max(res, (lhs - rhs).coeff_norm())
-    return res
+    return worst([(v2_star(R, mu, f.shifted()) - rho * conditional_expectation(R, f)).coeff_norm() for f in words])
 
 
 def characterization_check(mu: Measure, R: TransferOperator, words=None) -> float:
@@ -246,12 +242,10 @@ def characterization_check(mu: Measure, R: TransferOperator, words=None) -> floa
     """
     if words is None:
         words = default_word_battery(R.space)
-    res = 0.0
-    for f in words:
-        lhs = conditional_expectation(R, f.shifted())
-        rhs = R.apply(conditional_expectation(R, f))
-        res = max(res, (lhs - rhs).coeff_norm())
-    return res
+    return worst([
+        (conditional_expectation(R, f.shifted()) - R.apply(conditional_expectation(R, f))).coeff_norm()
+        for f in words
+    ])
 
 
 def default_word_battery(space, max_depth: int = 4, per_depth: int = 5, seed: int = 23):

@@ -27,6 +27,7 @@ from .statespace import (
     Observable,
     compose_with_endo,
     integrate,
+    worst,
     _check_same,
     _require,
 )
@@ -89,11 +90,8 @@ def shift_invariance_residual(mu: Measure, R: TransferOperator, words) -> float:
 
     Vanishes iff mu o R = mu (given the pull-out axiom).
     """
-    res = 0.0
-    for f in words:
-        ef = conditional_expectation(R, f)
-        res = max(res, abs(integrate(mu, R.apply(ef)) - integrate(mu, ef)))
-    return res
+    efs = [conditional_expectation(R, f) for f in words]
+    return worst([abs(integrate(mu, R.apply(ef)) - integrate(mu, ef)) for ef in efs])
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +123,14 @@ def lift_conditional_residual(R: TransferOperator, words, points) -> float:
     pts = [R.space.point(x) for x in points]
     x = np.array(pts, dtype=None if pts else np.intp)  # Fractions in an object array on the circle
     rx = R.space.forward(x)
-    res = 0.0
-    for f in words:
+
+    def residual(f):
         rhs = f.word[0](rx)
         if f.depth >= 2:
             rhs = rhs * conditional_expectation(R, CylinderFunctional(f.word[1:]))(x)
-        lhs = conditional_expectation(R, word_compose_rhat(f))(x)
-        res = max(res, float(np.max(np.abs(lhs - rhs), initial=0.0)))
-    return res
+        return worst(np.abs(conditional_expectation(R, word_compose_rhat(f))(x) - rhs))
+
+    return worst([residual(f) for f in words])
 
 
 def covariance_check(
@@ -148,27 +146,25 @@ def covariance_check(
     over pairs from `words`; and norm preservation of U (with optional filter
     weight m) under the stationary mu.
     """
-    res_v1 = 0.0
-    for phi in basis:
+    def v1_gap(phi):
         lifted = conditional_expectation(R, word_compose_rhat(CylinderFunctional((phi,))))
-        res_v1 = max(res_v1, (lifted - compose_with_endo(phi)).coeff_norm())
+        return (lifted - compose_with_endo(phi)).coeff_norm()
 
-    res_mf = 0.0
-    for F in words:
-        for f in words:
-            lhs = (F * word_compose_rhat(f)).shifted()  # (F (f o rhat)) o sigma
-            rhs = F.shifted() * f
-            diff = conditional_expectation(R, lhs) - conditional_expectation(R, rhs)
-            res_mf = max(res_mf, diff.coeff_norm())
+    def multiplication_gap(F, f):
+        lhs = (F * word_compose_rhat(f)).shifted()  # (F (f o rhat)) o sigma
+        return (conditional_expectation(R, lhs) - conditional_expectation(R, F.shifted() * f)).coeff_norm()
 
-    res_norm = 0.0
-    for f in words:
-        uf = word_compose_rhat(f) if m is None else apply_wavelet_U(m, f)
-        n_uf = sigma_expectation(mu, R, uf * uf.conj())
-        n_f = sigma_expectation(mu, R, f * f.conj())
-        res_norm = max(res_norm, abs(n_uf - n_f))
+    def norm(f):
+        return sigma_expectation(mu, R, f * f.conj())
 
-    return {"v1_covariance": res_v1, "multiplication_covariance": res_mf, "norm_preservation": res_norm}
+    def lift(f):
+        return word_compose_rhat(f) if m is None else apply_wavelet_U(m, f)
+
+    return {
+        "v1_covariance": worst([v1_gap(phi) for phi in basis]),
+        "multiplication_covariance": worst([multiplication_gap(F, f) for F in words for f in words]),
+        "norm_preservation": worst([abs(norm(lift(f)) - norm(f)) for f in words]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +201,7 @@ def group_translation_invariance(
     translated = translate_word(f, translate)
     lhs = conditional_expectation(R, translated)
     rhs = rotate_observable(conditional_expectation(R, f), translate.entries[0])
-    res = (lhs - rhs).coeff_norm()
-    res = max(res, abs(integrate(mu, lhs) - integrate(mu, conditional_expectation(R, f))))
-    return float(res)
+    return worst([(lhs - rhs).coeff_norm(), abs(integrate(mu, lhs) - integrate(mu, conditional_expectation(R, f)))])
 
 
 def random_solenoid_translate(space: CircleSpace, depth: int, seed: int) -> SolenoidWord:

@@ -240,6 +240,15 @@ def _require(space, carrier: type, what: str) -> None:
         raise CarrierMismatchError(f"{what} needs a {carrier.__name__}, not {type(space).__name__}")
 
 
+def worst(residuals) -> float:
+    """The largest of a sequence or array of real residuals: 0.0 when there are none, NaN when any is NaN.
+
+    Every residual battery folds through this one max: Python's ``max(0.0, nan)`` reads 0.0, which would
+    let a tolerance test pass on a NaN term.
+    """
+    return float(np.max(np.asarray(residuals, dtype=float), initial=0.0))
+
+
 def dense_coeffs(coeffs: Mapping[int, complex]) -> tuple[np.ndarray, int]:
     """A coefficient map as a dense array and the index of its first entry, zeros pruned."""
     pruned = {int(n): complex(c) for n, c in coeffs.items() if c != 0}
@@ -436,8 +445,7 @@ class Observable:
 
     def coeff_norm(self) -> float:
         """Max absolute Fourier coefficient (circle); max abs value (finite)."""
-        entries = self.coeffs if self.values is None else self.values
-        return float(np.max(np.abs(entries))) if entries.size else 0.0
+        return worst(np.abs(self.coeffs if self.values is None else self.values))
 
     def on(self, space: Space) -> "Observable":
         """The same function on another carrier of its kind, such as a circle of a higher degree bound."""

@@ -44,6 +44,7 @@ from .statespace import (
     horner,
     inner_product,
     sparse_coeffs,
+    worst,
     _check_same,
     _require,
 )
@@ -544,14 +545,8 @@ def pullout_check(R: TransferOperator) -> float:
     Zero certifies the pull-out axiom tying R to the endomorphism.
     """
     rng = np.random.default_rng(7)
-    res = 0.0
-    for _ in range(20):
-        phi = R.space.random_observable(rng)
-        psi = R.space.random_observable(rng)
-        lhs = R.apply(compose_with_endo(phi) * psi)
-        rhs = phi * R.apply(psi)
-        res = max(res, (lhs - rhs).coeff_norm())
-    return res
+    pairs = [(R.space.random_observable(rng), R.space.random_observable(rng)) for _ in range(20)]
+    return worst([(R.apply(compose_with_endo(phi) * psi) - phi * R.apply(psi)).coeff_norm() for phi, psi in pairs])
 
 
 def composition_isometry_residual(m0: Mapping[int, complex], space: CircleSpace) -> float:
@@ -562,9 +557,9 @@ def composition_isometry_residual(m0: Mapping[int, complex], space: CircleSpace)
     mu = Measure.haar_measure(space)
     m = Observable.from_fourier(space, m0)
     rng = np.random.default_rng(11)
-    res = 0.0
-    for _ in range(20):
-        f = space.random_observable(rng, max_degree=min(8, space.degree // 4))
-        g = m * compose_with_endo(f)
-        res = max(res, abs(inner_product(mu, g, g) - inner_product(mu, f, f)))
-    return res
+    fs = [space.random_observable(rng, max_degree=min(8, space.degree // 4)) for _ in range(20)]
+
+    def norm(f):
+        return inner_product(mu, f, f)
+
+    return worst([abs(norm(m * compose_with_endo(f)) - norm(f)) for f in fs])

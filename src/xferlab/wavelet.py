@@ -34,6 +34,7 @@ from .statespace import (
     horner,
     integrate,
     sparse_coeffs,
+    worst,
 )
 from .transferop import CERTIFICATE_C, ruelle_from_filter
 
@@ -282,11 +283,7 @@ def _lawton_matrix(h: QMFFilter) -> np.ndarray:
 
 def orthogonality_defect(a: Mapping[int, complex]) -> float:
     """max(|a(0) - 1|, max_{k != 0} |a(k)|)."""
-    out = abs(a.get(0, 0.0) - 1.0)
-    for k, v in a.items():
-        if k != 0:
-            out = max(out, abs(v))
-    return float(out)
+    return worst([abs(a.get(0, 0.0) - 1.0), *(abs(v) for k, v in a.items() if k != 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +315,8 @@ def intertwining_check(
     residual of the cascade iterate, hence by its convergence.
     """
     supp = h.length - 1  # support length of phi in x-units
-    res = 0.0
-    for xi in xis:
+
+    def residual(xi):
         s = scaled_coeffs(h, xi)
         lhs_lo = sf.offset + min(s, default=0)
         lhs_hi = sf.offset + max(s, default=0) + supp
@@ -330,8 +327,9 @@ def intertwining_check(
         xs = lo + two * np.arange(int(round((hi - lo) / two)) + 1)
         lhs = eval_translates(sf, s, xs)
         rhs = eval_translates(sf, xi, xs / 2) / SQRT2
-        res = max(res, float(np.max(np.abs(lhs - rhs))))
-    return res
+        return worst(np.abs(lhs - rhs))
+
+    return worst([residual(xi) for xi in xis])
 
 
 # ---------------------------------------------------------------------------
@@ -373,28 +371,22 @@ def representation_check(
     basis_words = [CylinderFunctional(tuple(w)) for w in _word_basis(chars, depth)]
 
     # covariance, checked as U pi(f) g = pi(f o r) U g at the measure level
-    cov = 0.0
-    for f in chars:
-        fr = compose_with_endo(f)
-        for g in basis_words:
-            lhs = apply_wavelet_U(m, CylinderFunctional((f * g.word[0],) + g.word[1:]))
-            ug = apply_wavelet_U(m, g)
-            rhs = CylinderFunctional((fr * ug.word[0],) + ug.word[1:])
-            diff = conditional_expectation(R, lhs) - conditional_expectation(R, rhs)
-            cov = max(cov, diff.coeff_norm())
+    def covariance_gap(f, fr, g):
+        lhs = apply_wavelet_U(m, CylinderFunctional((f * g.word[0],) + g.word[1:]))
+        ug = apply_wavelet_U(m, g)
+        rhs = CylinderFunctional((fr * ug.word[0],) + ug.word[1:])
+        return (conditional_expectation(R, lhs) - conditional_expectation(R, rhs)).coeff_norm()
+
+    lifts = [(f, compose_with_endo(f)) for f in chars]
+    cov = worst([covariance_gap(f, fr, g) for f, fr in lifts for g in basis_words])
 
     u_one = apply_wavelet_U(m, CylinderFunctional((one,)))
     scaling = (conditional_expectation(R, u_one) - m).coeff_norm()
 
-    orth = 0.0
-    for f in chars:
-        orth = max(
-            orth,
-            abs(sigma_expectation(mu, R, CylinderFunctional((f,))) - integrate(mu, f)),
-        )
+    orth = worst([abs(sigma_expectation(mu, R, CylinderFunctional((f,))) - integrate(mu, f)) for f in chars])
 
     dims = _span_dimensions(m, max_char, levels)
-    return RepresentationReport(float(cov), float(scaling), float(orth), dims)
+    return RepresentationReport(cov, scaling, orth, dims)
 
 
 def _word_basis(chars, depth):

@@ -114,6 +114,7 @@ COERCED = {
     "edge-fractional-vertex": _edges([0.9, 1, 1.0]) + ("edges[1][0]",),
     "edge-negative-vertex": _edges([1, -1, 2.0]) + ("edges[1][1]",),
     "edge-vertex-past-the-end": _edges([1, 5, 2.0]) + ("edges[1]",),
+    "edge-repeated-reversed": _edges([1, 0, 5.0]) + ("edges[1]",),
     "normalization-string": _with("qmf", filter={**HAAR, "require_normalization": "no"})
     + ("filter.require_normalization",),
     "m0-key-underscore": _with("solenoid", operator={"kind": "ruelle", "m0": {"0": HAAR_TAP, "1_1": HAAR_TAP}})
@@ -549,6 +550,23 @@ class TestTasks:
         }
         code, _ = run(tmp_path, "harmonic", cfg)
         assert code == 2
+
+    def test_complex_expectation_keeps_its_imaginary_part(self, tmp_path):
+        # E_0 = 0.75 (1 + 5i) 0.5 + 0.25 (2) (-1) = 0.125 + 0.625i: its real part alone would pass the claim
+        cfg = {"space": TWO_STATE, "operator": CHAIN_OP, "point": 0, "expected": 0.125,
+               "word": [{"values": [[1, 5], [2, 0]]}, {"values": [0.5, -1]}]}
+        code, report = run(tmp_path, "expectation", cfg)
+        claim = {c["name"]: c for c in report["claims"]}["expectation"]
+        assert report["expectation"] == claim["value"] == [0.125, 0.625]
+        assert code == 1 and claim["pass"] is False
+
+    def test_complex_correlate_keeps_its_imaginary_part(self, tmp_path):
+        cfg = {"space": TWO_STATE, "operator": CHAIN_OP, "phi": {"values": [[0, 1], 0]}, "psi": {"values": [1, 0]},
+               "lags": [0]}
+        code, report = run(tmp_path, "correlate", cfg)
+        assert code == 0
+        assert report["correlations"]["0"] == [0.0, pytest.approx(2 / 3)]
+        assert report["product_of_means"] == [0.0, pytest.approx(4 / 9)]
 
     def test_correlate(self, tmp_path):
         cfg = {

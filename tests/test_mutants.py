@@ -225,6 +225,11 @@ def representation(field):
     return check
 
 
+def composition_isometry(tmp_path):
+    # the taps are built here, after the mutant is patched in
+    return transferop.composition_isometry_residual(X.daubechies4().m0_coeffs(), X.CircleSpace(degree=32)) <= 1e-10
+
+
 def strong_invariance(tmp_path):
     sp = X.FiniteSpace(("a", "b", "c"), endo=(1, 0, 2))
     return X.strong_invariance_check(X.Measure.from_weights(sp, [0.25, 0.25, 0.5])) <= 1e-12
@@ -300,6 +305,7 @@ ROWS = [
     Row("representation_check.orthogonality_residual", compose_odd, representation("orthogonality_residual"),
         held=True),
     Row("strong_invariance_check", wrong_endo, strong_invariance),
+    Row("composition_isometry_residual", tap_moved, composition_isometry),
 ]
 IDS = [f"{r.verdict}-{r.mutant.__name__}" for r in ROWS]
 HELD = pytest.mark.xfail(strict=True, reason="recursion identity; deletion waits for a benchmark PR")

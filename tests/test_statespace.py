@@ -27,6 +27,7 @@ from xferlab import (
     strong_invariance_check,
 )
 from xferlab.serialize import space_from_json
+from xferlab.statespace import worst
 
 
 def convolve_coeffs(a, b) -> dict[int, complex]:
@@ -360,3 +361,11 @@ class TestDenseLayout:
         assert np.max(np.abs(f(theta) - direct)) <= 1e-12 * l1
         assert abs(f(Fraction(3, 64)) - direct[3]) <= 1e-12 * l1
         assert abs(f(complex(np.exp(2j * np.pi * 3 / 64))) - direct[3]) <= 1e-12 * l1
+
+
+def test_worst_reads_zero_on_no_terms_and_nan_on_a_nan_term():
+    assert worst([]) == worst(np.zeros(0)) == 0.0
+    assert worst([1.0, 3.0, 2.0]) == worst(np.array([1.0, 3.0, 2.0])) == 3.0
+    assert np.isnan(worst([1.0, float("nan"), 2.0])) and np.isnan(worst([float("nan"), 1.0]))
+    with pytest.raises(TypeError):  # a generator is refused, not read as one object
+        worst(x for x in [1.0])
