@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -207,19 +209,26 @@ def run_harmonic(cfg):
     for key, given in (("seed", seed), ("start", start)):
         if count and given is None:
             raise ValueError(f"{key} is required for Monte Carlo verification (count > 0)")
-    c = np.zeros((n, n))
-    seen = {}
-    for i, edge in enumerate(edges):
-        name = f"edges[{i}]"
-        if len(edge) != 3:
-            raise ValueError(f"{name} must be [u, v, conductance], not {edge!r:.40}")
-        u, v = (value(edge[j], int, f"{name}[{j}]", minimum=0) for j in (0, 1))
-        if max(u, v) >= n:
-            raise ValueError(f"{name} joins a vertex outside [0, {n})")
-        if (pair := frozenset((u, v))) in seen:
-            raise ValueError(f"{name} repeats the edge {{{u}, {v}}} of {seen[pair]}")
-        seen[pair] = name
-        c[u, v] = c[v, u] = value(edge[2], float, f"{name}[2]")
+
+    def conductances(named):  # names are built only by a second, named pass, which repeats a refusal
+        c, seen = np.zeros((n, n)), {}
+        for i, edge in enumerate(edges):
+            if len(edge) != 3:
+                raise ValueError(f"edges[{i}] must be [u, v, conductance], not {edge!r:.40}")
+            u, v = (value(edge[j], int, named and f"edges[{i}][{j}]", minimum=0) for j in (0, 1))
+            if max(u, v) >= n:
+                raise ValueError(f"edges[{i}] joins a vertex outside [0, {n})")
+            if (pair := frozenset((u, v))) in seen:
+                raise ValueError(f"edges[{i}] repeats the edge {{{u}, {v}}} of edges[{seen[pair]}]")
+            seen[pair] = i
+            c[u, v] = c[v, u] = value(edge[2], float, named and f"edges[{i}][2]")
+        return c
+
+    try:
+        c = conductances(False)
+    except ValueError:
+        conductances(True)
+        raise
     space = FiniteSpace(tuple(f"v{i}" for i in range(n)))
     net = graphwalk.Network(space, c, tuple(boundary))
     x = None if start is None else point_from_json(space, start, "start")
@@ -303,6 +312,7 @@ RUNNERS = {
 }
 
 
+@functools.cache  # built on the first main call, not at import, and reused by every later call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xferlab", description="transfer-operator verification tasks"
@@ -323,7 +333,7 @@ def _no_constant(token):
 
 def _finite_float(literal):
     x = float(literal)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"{literal} overflows a float")
     return x
 

@@ -38,9 +38,11 @@ class Network:
         c = np.asarray(self.conductance, dtype=float)
         if c.shape != (self.space.n, self.space.n):
             raise ValueError("conductance matrix must be square over the vertex set")
+        if not np.all(np.isfinite(c)):
+            raise NormalizationError(f"conductances must be finite, not {c[~np.isfinite(c)][0]}")
         if np.any(c < 0):
             raise NormalizationError("conductances must be nonnegative")
-        if not np.all(np.abs(c - c.T) <= 1e-12):  # written so that a NaN conductance fails
+        if not np.all(np.abs(c - c.T) <= 1e-12):
             raise NormalizationError("conductances must be symmetric")
         if np.any(np.diag(c) != 0):
             raise ValueError("self-loops are not supported")

@@ -17,7 +17,6 @@ finite inverse-CDF step they share live in ``transferop``.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -179,13 +178,21 @@ class PathEnsemble:
         return PathEnsemble(self.space, self.root, self.depth, np.vstack([self.paths, other.paths]), self.fingerprint)
 
     def to_csv(self, path) -> None:
-        """One row per path of ``space.label`` cells, each distinct point labelled once."""
+        """One row per path of ``space.label`` cells, each distinct point labelled and quoted once, as by csv.writer."""
         values, inverse = np.unique(self.paths, return_inverse=True)
-        labels = np.fromiter(map(self.space.label, self.space.points(values, self.denominator)), object, values.size)
+        labels = map(self.space.label, self.space.points(values, self.denominator))
+        cells = np.fromiter((_csv_cell(x, self.depth == 1) for x in labels), object, values.size)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i+1}" for i in range(self.depth)])
-            writer.writerows(labels[inverse.reshape(self.paths.shape)].tolist())
+            fh.write(",".join(f"x{i+1}" for i in range(self.depth)) + "\r\n")
+            fh.writelines(",".join(row) + "\r\n" for row in cells[inverse.reshape(self.paths.shape)].tolist())
+
+
+def _csv_cell(label, lone: bool) -> str:
+    """``label`` as ``csv.writer`` writes it (minimal quoting); ``lone`` when it is the only cell of its row."""
+    s = "" if label is None else str(label)
+    if lone and not s or any(map(s.__contains__, ',"\r\n')):  # csv quotes a lone empty cell, or it would be no row
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
 def mean_stderr(vals: np.ndarray) -> tuple[float, float]:

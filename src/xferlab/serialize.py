@@ -67,7 +67,12 @@ def value(v, kind: type, name: str, minimum=None, dims: int = 0):
     if dims:
         if type(v) is not list:
             raise ValueError(f"{name} must be an array, not {v!r:.40}")
-        return [value(x, kind, f"{name}[{i}]", minimum, dims - 1) for i, x in enumerate(v)]
+        try:  # the leaves' names are built only to repeat a refusal
+            return [value(x, kind, name, minimum, dims - 1) for x in v]
+        except ValueError:
+            for i, x in enumerate(v):
+                value(x, kind, f"{name}[{i}]", minimum, dims - 1)
+            raise
     if kind is complex and type(v) is list and len(v) == 2 and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER:
         return complex(v[0], v[1])
     if kind is int and type(v) is float and v.is_integer():

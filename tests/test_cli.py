@@ -123,6 +123,14 @@ COERCED = {
     + ("operator.m0",),
     "boundary-value-string": _with("harmonic", boundary_values={"0": 0.0, "2": "1"}) + ("boundary_values.2",),
     "fourier-key-space": _with("solenoid", operator={"kind": "ruelle", "weight": {" 0": 0.5}}) + ("operator.weight",),
+    # a refused leaf past the first of its array: the refusal is repeated by a second walk that builds the names
+    "rows-string-inner": _with("invariance", operator={"kind": "matrix", "rows": [[0.75, 0.25], [0.5, "0.5"]]})
+    + ("operator.rows[1][1]",),
+    "values-string-third": _with("expectation", space={"kind": "finite", "states": ["a", "b", "c"]},
+                                 operator={"kind": "matrix", "rows": [[1.0, 0.0, 0.0]] * 3},
+                                 word=[{"values": [1, 0, 0]}, {"values": [1, 0, "0"]}]) + ("word[1].values[2]",),
+    "edge-conductance-string": _edges([1, 2, 2.0], [0, 2, "1.5"]) + ("edges[2][2]",),
+    "coeff-string-fourth": _with("qmf", filter={"coeffs": [0.5, 0.5, 0.5, "0.5"]}) + ("filter.coeffs[3]",),
 }
 
 # one config per constraint of the former JSON Schema: (task, config, the field the message names)
@@ -228,6 +236,20 @@ class TestExitCodes:
             run(tmp_path, task, BASE[task], extra=["--csv", str(csv_path)])
         assert exc.value.code == 2
         assert not (tmp_path / "report.json").exists() and not csv_path.exists()
+
+    def test_the_cached_parser_survives_a_refusal(self, tmp_path):
+        from xferlab import cli
+
+        cfg, first, again = tmp_path / "cfg.json", tmp_path / "first.json", tmp_path / "again.json"
+        cfg.write_text(json.dumps(BASE["qmf"]))
+        cli.build_parser.cache_clear()
+        assert main(["qmf", "--config", str(cfg), "--output", str(first)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["qmf", "--config", str(cfg), "--csv", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert main(["qmf", "--config", str(cfg), "--output", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_schema_violation_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "qmf", {"filter": {"offset": 1}})

@@ -38,6 +38,14 @@ class TestNetworkValidation:
         with pytest.raises(NormalizationError):
             Network(sp, np.array([[0.0, -1.0], [-1.0, 0.0]]), (0,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_conductance_that_is_not_finite_is_named(self, bad):
+        with pytest.raises(NormalizationError, match=f"conductances must be finite, not {bad}"):
+            path_network([bad, 1.0])
+        one_sided = np.array([[0.0, -bad], [1.0, 0.0]])  # also neither symmetric nor, at -inf, nonnegative
+        with pytest.raises(NormalizationError, match=f"conductances must be finite, not {-bad}"):
+            Network(FiniteSpace(("x", "y")), one_sided, (0,))
+
     def test_isolated_interior_vertex_rejected(self):
         sp = FiniteSpace(("x", "y", "z"))
         c = np.zeros((3, 3))

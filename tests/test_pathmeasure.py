@@ -5,8 +5,11 @@ carrier the measure of a cylinder is the sum over all words of products of
 transition probabilities, computed here with no operator machinery.
 """
 
+import csv
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +50,7 @@ from xferlab import (
 )
 from xferlab import pathmeasure
 from xferlab.errors import DegreeOverflowError
-from xferlab.pathmeasure import default_word_battery, real_moments
+from xferlab.pathmeasure import PathEnsemble, default_word_battery, real_moments
 from xferlab.rng import CHUNK
 
 HAAR_M0 = {0: 2**-0.5, 1: 2**-0.5}
@@ -261,6 +264,32 @@ class TestSampling:
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "x1,x2,x3"
         assert len(rows) == 11
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        states=st.lists(
+            st.text(st.sampled_from(',"\r\n \tab\x00'), max_size=4)
+            | st.none() | st.integers() | st.floats() | st.booleans() | st.lists(st.text("a,'", max_size=2), max_size=2),
+            min_size=1, max_size=5),
+        depth=st.integers(1, 3),
+        data=st.data(),
+    )
+    @example(states=[""], depth=1, data=None)  # a lone empty cell is written as two quotes
+    @example(states=[None, "a"], depth=2, data=None)  # a row of empty cells is only its commas
+    def test_csv_bytes_are_the_csv_writer_bytes(self, states, depth, data):
+        # csv.writer, which to_csv no longer calls, is the oracle for every label of a finite carrier
+        n, shape = len(states), (1 if data is None else data.draw(st.integers(1, 6)), depth)
+        paths = np.zeros(shape, int) if data is None else data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=depth, max_size=depth), min_size=shape[0], max_size=shape[0]))
+        ens = PathEnsemble(FiniteSpace(tuple(states)), 0, depth, np.asarray(paths, dtype=np.intp).reshape(shape), "")
+        with tempfile.TemporaryDirectory() as d:
+            ours, ref = Path(d) / "ours.csv", Path(d) / "ref.csv"
+            ens.to_csv(ours)
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f"x{i + 1}" for i in range(depth)])
+                writer.writerows([[states[x] for x in row] for row in ens.paths.tolist()])
+            assert ours.read_bytes() == ref.read_bytes()
 
 
 @pytest.fixture(params=["finite", "circle"])
