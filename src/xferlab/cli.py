@@ -215,13 +215,13 @@ def run_harmonic(cfg):
         for i, edge in enumerate(edges):
             if len(edge) != 3:
                 raise ValueError(f"edges[{i}] must be [u, v, conductance], not {edge!r:.40}")
-            u, v = (value(edge[j], int, named and f"edges[{i}][{j}]", minimum=0) for j in (0, 1))
+            u, v = (value(edge[j], int, f"edges[{i}][{j}]" if named else "", minimum=0) for j in (0, 1))
             if max(u, v) >= n:
                 raise ValueError(f"edges[{i}] joins a vertex outside [0, {n})")
             if (pair := frozenset((u, v))) in seen:
                 raise ValueError(f"edges[{i}] repeats the edge {{{u}, {v}}} of edges[{seen[pair]}]")
             seen[pair] = i
-            c[u, v] = c[v, u] = value(edge[2], float, named and f"edges[{i}][2]")
+            c[u, v] = c[v, u] = value(edge[2], float, f"edges[{i}][2]" if named else "")
         return c
 
     try:

@@ -8,6 +8,7 @@ transition probabilities, computed here with no operator machinery.
 import csv
 import itertools
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -276,20 +277,31 @@ class TestSampling:
     )
     @example(states=[""], depth=1, data=None)  # a lone empty cell is written as two quotes
     @example(states=[None, "a"], depth=2, data=None)  # a row of empty cells is only its commas
+    @example(states=["a\x00b", ","], depth=2, data=None)
     def test_csv_bytes_are_the_csv_writer_bytes(self, states, depth, data):
-        # csv.writer, which to_csv no longer calls, is the oracle for every label of a finite carrier
+        # csv.writer, which to_csv no longer calls, is the oracle for every label of a finite carrier.
+        # to_csv writes a NUL as a plain character on every Python, as csv.writer does from 3.11 on;
+        # csv.writer refuses it before 3.11, so there the oracle writes \x01 (never drawn, and plain) for it.
+        nul = "\x00" if sys.version_info >= (3, 11) else "\x01"
         n, shape = len(states), (1 if data is None else data.draw(st.integers(1, 6)), depth)
         paths = np.zeros(shape, int) if data is None else data.draw(st.lists(
             st.lists(st.integers(0, n - 1), min_size=depth, max_size=depth), min_size=shape[0], max_size=shape[0]))
         ens = PathEnsemble(FiniteSpace(tuple(states)), 0, depth, np.asarray(paths, dtype=np.intp).reshape(shape), "")
+        oracle = [x.replace("\x00", nul) if type(x) is str else x for x in states]
         with tempfile.TemporaryDirectory() as d:
             ours, ref = Path(d) / "ours.csv", Path(d) / "ref.csv"
             ens.to_csv(ours)
             with open(ref, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow([f"x{i + 1}" for i in range(depth)])
-                writer.writerows([[states[x] for x in row] for row in ens.paths.tolist()])
-            assert ours.read_bytes() == ref.read_bytes()
+                writer.writerows([[oracle[x] for x in row] for row in ens.paths.tolist()])
+            assert ours.read_bytes().replace(b"\x00", nul.encode()) == ref.read_bytes()
+
+    def test_a_nul_label_is_a_plain_character(self, tmp_path):
+        # the same bytes on every supported Python; csv.writer refuses a NUL before 3.11
+        ens = PathEnsemble(FiniteSpace(("a\x00b", "\x00,")), 0, 2, np.array([[0, 1], [1, 1]]), "")
+        ens.to_csv(tmp_path / "nul.csv")
+        assert (tmp_path / "nul.csv").read_bytes() == b'x1,x2\r\na\x00b,"\x00,"\r\n"\x00,","\x00,"\r\n'
 
 
 @pytest.fixture(params=["finite", "circle"])
