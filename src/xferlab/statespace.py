@@ -104,7 +104,7 @@ class FiniteSpace:
     def incompatible_transitions(self, words, den: int = 1) -> int:
         """Transitions x_k -> x_{k+1} with r(x_{k+1}) != x_k in equal-length words of indices (den, the path
         layout's denominator, is 1 here)."""
-        x = np.asarray(words)
+        x = np.atleast_2d(np.asarray(words, dtype=np.intp))
         return int(np.count_nonzero(self.forward(x[:, 1:]) != x[:, :-1]))
 
     # a path array (``PathEnsemble.paths``) holds state indices, which are their own exact and evaluable points
@@ -163,11 +163,11 @@ class CircleSpace:
 
     def compose_with_endo(self, phi: "Observable") -> "Observable":
         """Index doubling: the stride-2 scatter."""
-        return Observable.from_coeffs(self, doubled(phi.coeffs), 2 * phi.offset)
+        return Observable._trusted(self, doubled(phi.coeffs), 2 * phi.offset)
 
     def fiber_average(self, phi: "Observable") -> "Observable":
         """Keep the even coefficients, halving their index: the stride-2 gather."""
-        return Observable.from_coeffs(self, *even_gather(phi.coeffs, phi.offset))
+        return Observable._trusted(self, *even_gather(phi.coeffs, phi.offset))
 
     def default_test_basis(self) -> list["Observable"]:
         """All characters within the degree bound."""
@@ -179,22 +179,16 @@ class CircleSpace:
         return 0.0
 
     def random_observable(self, rng, max_degree: int = 8) -> "Observable":
+        """Coefficients c_n = a_n + i b_n for |n| <= d, from the normals a_-d, b_-d, ..., a_d, b_d in that order."""
         d = min(max_degree, self.degree // 8) or 1
-        coeffs = {n: complex(rng.standard_normal(), rng.standard_normal()) for n in range(-d, d + 1)}
-        return Observable.from_fourier(self, coeffs)
+        return Observable.from_coeffs(self, rng.standard_normal((2 * d + 1, 2)).view(complex)[:, 0], -d)
 
     @staticmethod
     def incompatible_transitions(words) -> int:
-        """``incompatible_paths`` of equal-length words of Fraction angles, read as numerators mod 1 over their
-        own denominators, reduced before the choice of int64 (while every denominator is below 2^62) or Python ints."""
-        x = np.asarray(words, dtype=object)
-        if not x.size:
-            return 0
-        flat = x.ravel().tolist()
-        den = [t.denominator for t in flat]
-        dtype = np.int64 if max(den) < 2**62 else object
-        num = [t.numerator % t.denominator for t in flat]
-        return CircleSpace.incompatible_paths(*(np.array(a, dtype).reshape(x.shape) for a in (num, den)))
+        """Transitions x_k -> x_{k+1} with 2 x_{k+1} - x_k not an integer in equal-length words of Fraction
+        angles (any representatives mod 1), in exact Fraction arithmetic."""
+        x = np.atleast_2d(np.asarray(words, dtype=object))
+        return int(np.count_nonzero((2 * x[:, 1:] - x[:, :-1]) % 1))
 
     @staticmethod
     def denominator(root: Fraction, depth: int) -> int:
@@ -213,24 +207,18 @@ class CircleSpace:
         return paths / den
 
     @staticmethod
-    def incompatible_paths(paths, den) -> int:
-        """Transitions x_k -> x_{k+1} with 2 x_{k+1} != x_k (mod 1) in rows of angles paths / den in [0, 1) (den
-        one denominator or one per entry).  With x_{k+1} = p/q in lowest terms (``np.gcd``), 2 x_{k+1} mod 1 in
-        lowest terms is (2p mod q)/q for odd q and (p mod q/2)/(q/2) for even q: compatible iff that is x_k."""
-        g = np.gcd(paths, den)
-        q = den // g
-        p = paths // g
-        odd = q[:, 1:] & 1
-        half = q[:, 1:] >> (1 - odd)  # the denominator of 2 x_{k+1}: q, or q / 2 for even q
-        twice = (p[:, 1:] << odd) % half
-        return int(np.count_nonzero((twice != p[:, :-1]) | (half != q[:, :-1])))
+    def incompatible_paths(paths, den: int) -> int:
+        """Transitions x_k -> x_{k+1} with 2 x_{k+1} != x_k (mod 1) in rows of angles paths / den over one
+        denominator: those where den does not divide 2 N_{k+1} - N_k.  Exact on int64 while den < 2^53 (then
+        |2 N_{k+1} - N_k| < 2^54), and on Python ints beyond."""
+        return int(np.count_nonzero((2 * paths[:, 1:] - paths[:, :-1]) % den))
 
 
 Space = Union[FiniteSpace, CircleSpace]
 
 
 def _check_same(a: Space, b: Space) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise CarrierMismatchError(f"carriers differ: {a!r} vs {b!r}")
 
 
@@ -347,16 +335,22 @@ class Observable:
     def from_coeffs(cls, space: CircleSpace, coeffs, offset: int = 0) -> "Observable":
         """coeffs[j] is the coefficient of z^(offset + j); the array is trimmed, not copied."""
         _require(space, CircleSpace, "a Fourier observable")
-        c = np.asarray(coeffs, dtype=complex)
-        if not (c.size and c[0] and c[-1]):  # trim the zero ends
+        return cls._trusted(space, np.asarray(coeffs, dtype=complex), offset)
+
+    @classmethod
+    def _trusted(cls, space: CircleSpace, c: np.ndarray, offset: int) -> "Observable":
+        """``from_coeffs`` on the algebra's own outputs, a 1-d complex array on a circle carrier, unchecked.
+
+        The zero ends are still trimmed (a product of trimmed arrays gains one when an end underflows) and a
+        degree past the bound is still refused.
+        """
+        if not (c.size and c[0] and c[-1]):
             nz = np.flatnonzero(c)
             c, offset = (c[nz[0] : nz[-1] + 1], offset + int(nz[0])) if nz.size else (c[:0], 0)
-        phi = cls(space, coeffs=c, offset=offset)
-        if phi.degree > space.degree:
-            raise DegreeOverflowError(
-                f"coefficient index {phi.degree} exceeds the degree bound {space.degree}"
-            )
-        return phi
+        degree = max(-offset, offset + c.size - 1)
+        if degree > space.degree:
+            raise DegreeOverflowError(f"coefficient index {degree} exceeds the degree bound {space.degree}")
+        return cls(space, None, c, offset)
 
     @classmethod
     def from_fourier(cls, space: CircleSpace, coeffs: Mapping[int, complex]) -> "Observable":
@@ -417,7 +411,7 @@ class Observable:
         out = np.zeros(max(p.offset + p.coeffs.size for p in (self, other)) - low, dtype=complex)
         for p in (self, other):
             out[p.offset - low : p.offset - low + p.coeffs.size] += p.coeffs
-        return Observable.from_coeffs(self.space, out, low)
+        return Observable._trusted(self.space, out, low)
 
     def __sub__(self, other: "Observable") -> "Observable":
         return self + (-1.0) * other
@@ -430,18 +424,14 @@ class Observable:
         self._like(other)
         if self.values is not None:
             return Observable.from_values(self.space, self.values * other.values)
-        return Observable.from_coeffs(
-            self.space, convolve(self.coeffs, other.coeffs), self.offset + other.offset
-        )
+        return Observable._trusted(self.space, convolve(self.coeffs, other.coeffs), self.offset + other.offset)
 
     __rmul__ = __mul__
 
     def conj(self) -> "Observable":
         if self.values is not None:
             return Observable.from_values(self.space, np.conj(self.values))
-        return Observable.from_coeffs(
-            self.space, self.coeffs[::-1].conj(), -(self.offset + self.coeffs.size - 1)
-        )
+        return Observable._trusted(self.space, self.coeffs[::-1].conj(), -(self.offset + self.coeffs.size - 1))
 
     def coeff_norm(self) -> float:
         """Max absolute Fourier coefficient (circle); max abs value (finite)."""

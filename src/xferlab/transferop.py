@@ -324,7 +324,7 @@ class CircleRuelleOperator(TransferOperator):
         """(R phi)_k = 2 (W * phi)_{2k}: one convolution, then every other entry."""
         _check_same(self.space, phi.space)
         g, k0 = even_gather(convolve(self._w, phi.coeffs), self._w_offset + phi.offset)
-        return Observable.from_coeffs(self.space, 2 * g, k0)
+        return Observable._trusted(self.space, 2 * g, k0)
 
     def weight_at(self, t):
         """W at an angle or elementwise on an array of angles: ``horner`` at e^{2 pi i t}, complex."""
@@ -357,7 +357,7 @@ class CircleRuelleOperator(TransferOperator):
     def adjoint_apply(self, mu: Measure, psi: Observable) -> Observable:
         """(R* psi)(x) = 2 W(x) psi(r(x)) in L^2(Haar), the only measure on the circle carrier."""
         prod = convolve(2 * self._w, doubled(psi.coeffs))
-        return Observable.from_coeffs(self.space, prod, self._w_offset + 2 * psi.offset)
+        return Observable._trusted(self.space, prod, self._w_offset + 2 * psi.offset)
 
     def invariant_measure(self) -> Measure:
         """Haar, exactly when it is invariant; see ``invariant_measure``."""
@@ -394,7 +394,8 @@ class CircleRuelleOperator(TransferOperator):
         D < 2^53, else Python ints): from t to a square root of it, weighted by W, one step per coordinate over
         the distinct angles N / den, den = q 2^step.  Path i is at ``num[k[i]]``, whose preimages N and N + den
         over 2 den, row k[i] of ``pre``, get W at the floats of float(Fraction) from one ``weight_at`` call; it
-        takes child 2k (u0) iff its draw is below p0 and else 2k + 1, and ``np.unique`` compacts the children.
+        takes child 2k (u0) iff its draw is below p0 and else 2k + 1.  The children are below 2 num.size, so a mask
+        over that range compacts them: the taken ones in increasing order, and each path's rank among them.
         """
         if isinstance(t0, Measure):
             raise ValueError("mu-rooted sampling is not supported on the circle carrier")
@@ -407,8 +408,11 @@ class CircleRuelleOperator(TransferOperator):
                 den = t0.denominator << step
                 pre = np.stack([num, num + den], axis=-1)
                 p0 = self._branch_probabilities(pre / (2 * den))[:, 0]
-                child, k = np.unique(2 * k + (u[:, step] >= p0[k]), return_inverse=True)
-                num = pre.ravel()[child]
+                child = 2 * k + (u[:, step] >= p0[k])
+                taken = np.zeros(2 * num.size, dtype=bool)
+                taken[child] = True
+                k = np.cumsum(taken)[child] - 1
+                num = pre.ravel()[taken]
                 out[rows, step + 1] = num[k] << (n - 2 - step)
         return out
 

@@ -371,14 +371,14 @@ def representation_check(
     basis_words = [CylinderFunctional(tuple(w)) for w in _word_basis(chars, depth)]
 
     # covariance, checked as U pi(f) g = pi(f o r) U g at the measure level
-    def covariance_gap(f, fr, g):
+    def covariance_gap(f, fr, g, ug):
         lhs = apply_wavelet_U(m, CylinderFunctional((f * g.word[0],) + g.word[1:]))
-        ug = apply_wavelet_U(m, g)
         rhs = CylinderFunctional((fr * ug.word[0],) + ug.word[1:])
         return (conditional_expectation(R, lhs) - conditional_expectation(R, rhs)).coeff_norm()
 
     lifts = [(f, compose_with_endo(f)) for f in chars]
-    cov = worst([covariance_gap(f, fr, g) for f, fr in lifts for g in basis_words])
+    lifted_words = [(g, apply_wavelet_U(m, g)) for g in basis_words]
+    cov = worst([covariance_gap(f, fr, g, ug) for f, fr in lifts for g, ug in lifted_words])
 
     u_one = apply_wavelet_U(m, CylinderFunctional((one,)))
     scaling = (conditional_expectation(R, u_one) - m).coeff_norm()

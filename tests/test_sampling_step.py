@@ -6,7 +6,8 @@ The pinned finite digests below were recorded with the O(states) counting step
 digests and CSV bytes with the dict-of-coefficients circle algebra that came
 before the dense layout; any change to the mapping from seed to paths, or to
 the operator fingerprints, shows up here first.  The Smale–Williams orbit CSV
-and report digests were recorded with the per-step orbit loop and ``np.savetxt``.
+and report digests were recorded with the per-step orbit loop and ``np.savetxt``.  The seeded
+observable batteries were recorded with two scalar ``standard_normal`` draws per coefficient.
 """
 
 import functools
@@ -40,7 +41,7 @@ from xferlab import (
 from xferlab import transferop
 from xferlab.cli import main
 from xferlab.graphwalk import hitting_verification, path_network
-from xferlab.pathmeasure import CylinderFunctional, hitting, mean_stderr, simulate_absorbing
+from xferlab.pathmeasure import CylinderFunctional, default_word_battery, hitting, mean_stderr, simulate_absorbing
 from xferlab.rng import CHUNK, chunks
 from xferlab.statespace import Observable
 from xferlab.transferop import CERTIFICATE_C, _cdf_table, _closed_classes, _next_states
@@ -127,7 +128,28 @@ PINNED_SMALE_WILLIAMS = (
 )
 
 
+
+def observables_digest(observables) -> str:
+    """SHA-256 of each observable's offset (8 bytes, little-endian) and coefficient bytes, in order."""
+    h = hashlib.sha256()
+    for phi in observables:
+        h.update(phi.offset.to_bytes(8, "little", signed=True) + phi.coeffs.tobytes())
+    return h.hexdigest()
+
+
+# default_word_battery(CircleSpace(64)), and the 20 pairs of pullout_check drawn from seed 7 on CircleSpace(64)
+PINNED_WORD_BATTERY = "05659859574ead567f49d14bfa27107caf3fe2fa53c194339dd85cf19839c3d4"
+PINNED_PULLOUT_PAIRS = "48ae064c59e20af7ca97145a973ddb144f888daf49fa9ffc0cc55989809a2606"
+
+
 class TestSeedToPathMapping:
+    def test_seeded_observable_batteries_are_pinned(self):
+        space = CircleSpace(64)
+        assert observables_digest(phi for f in default_word_battery(space) for phi in f.word) == PINNED_WORD_BATTERY
+        rng = np.random.default_rng(7)  # as pullout_check draws its pairs
+        pairs = [(space.random_observable(rng), space.random_observable(rng)) for _ in range(20)]
+        assert observables_digest(phi for pair in pairs for phi in pair) == PINNED_PULLOUT_PAIRS
+
     @pytest.mark.parametrize("case,digest", PINNED_SAMPLES)
     def test_sample_paths_stream_is_pinned(self, case, digest):
         assert samples_digest(*case) == digest

@@ -131,6 +131,39 @@ def test_compatibility_count_matches_the_fraction_oracle(words):
     assert CircleSpace().incompatible_transitions(words) == oracle
 
 
+def test_an_empty_word_list_has_no_incompatible_transition():
+    assert FiniteSpace(("a", "b"), endo=(1, 0)).incompatible_transitions([]) == 0
+    assert CircleSpace().incompatible_transitions([]) == 0
+
+
+@st.composite
+def one_denominator_paths(draw):
+    """Rows of numerators over one D = q 2^(depth - 1): backward branches from p/q, then single entries
+    replaced by arbitrary numerators.  D < 2^53 gives int64 rows; the root 1/(2^53 + 1) gives Python ints."""
+    q = draw(st.sampled_from([1, 3, 7, 2**31 - 1, 2**47 + 5, 2**53 + 1]))
+    depth, count = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    den = q << (depth - 1)
+    rows = []
+    for _ in range(count):
+        row = [(1 if q == 2**53 + 1 else draw(st.integers(0, q - 1))) << (depth - 1)]
+        for _ in range(depth - 1):
+            row.append((row[-1] + draw(st.integers(0, 1)) * den) // 2)  # (x + b) / 2 over the same D
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        rows[draw(st.integers(0, count - 1))][draw(st.integers(0, depth - 1))] = draw(st.integers(0, den - 1))
+    dtype = np.int64 if den < 2**53 else object
+    return np.array(rows, dtype=dtype).reshape(count, depth), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_denominator_paths())
+def test_one_denominator_count_matches_the_fraction_oracle(case):
+    paths, den = case
+    oracle = sum((2 * Fraction(b, den) - Fraction(a, den)) % 1 != 0
+                 for row in paths.tolist() for a, b in zip(row, row[1:]))
+    assert CircleSpace.incompatible_paths(paths, den) == oracle
+
+
 def test_a_million_branching_transitions_and_the_switch_to_python_ints():
     # from root 0 under Haar every path is constant; D4 from 1/3 branches at every step
     d4 = ruelle_from_filter(CircleSpace(), daubechies4().m0_coeffs())

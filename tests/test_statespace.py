@@ -337,6 +337,12 @@ class TestDenseLayout:
         assert Observable.from_fourier(sp, {3: 0.0, -1: 2.0}).fourier == {-1: 2.0}
         with pytest.raises(DegreeOverflowError):
             Observable.from_coeffs(sp, np.array([0, 1, 0, 1]), 0)
+        # the algebra's own outputs are trimmed too: 1e-200 squared underflows to a zero end
+        small = Observable.from_coeffs(sp, [1e-200, 1])
+        square = small * small
+        assert square.offset == 1 and square.coeffs.tolist() == [2e-200, 1]
+        with pytest.raises(DegreeOverflowError):
+            compose_with_endo(Observable.character(sp, sp.degree // 2 + 1))
 
     @settings(max_examples=80, deadline=None)
     @given(
