@@ -44,14 +44,20 @@ def _claim(name, value, tolerance, rule="abs<=tol", reference=None):
         ok = abs(value) <= tolerance
     elif rule == "abs-diff<=tol":
         ok = abs(value - reference) <= tolerance
-    elif rule == "==":
+    else:  # "=="
         ok = value == reference
-    else:
-        raise ValueError(f"unknown claim rule {rule!r}")
     out = {"name": name, "value": value, "tolerance": tolerance, "rule": rule, "pass": bool(ok)}
     if reference is not None:
         out["reference"] = reference
     return out
+
+
+def _mc_claim(name, estimate, exact, sigma, count, level):
+    """The report fields ``exact`` and ``exact_stderr`` = sigma / sqrt(count), and the claim |estimate - exact| <=
+    level max(exact_stderr, 1e-15): the exact sigma, since the sample's is 0 whenever a rare branch is never drawn."""
+    exact_stderr = sigma / np.sqrt(count)
+    claim = _claim(name, estimate - exact, level * max(exact_stderr, 1e-15))
+    return {"exact": exact, "exact_stderr": exact_stderr}, claim
 
 
 def _load_word(space, items):
@@ -113,13 +119,10 @@ def run_sample(cfg):
         claims.append(_claim("solenoid_violations", violations, 0, "==", 0))
     if word is not None:
         mean, stderr = ens.functional_mean(word)
-        # judged against the exact sigma: the sample's is 0 whenever a rare branch is never drawn
         exact, sigma = pathmeasure.real_moments(R, root, word)
-        exact_stderr = sigma / np.sqrt(ens.count)
-        report.update({"mc_mean": mean, "mc_stderr": stderr, "exact": exact, "exact_stderr": exact_stderr})
-        claims.append(
-            _claim("mc_within_sigma", mean - exact, level * max(exact_stderr, 1e-15), "abs<=tol")
-        )
+        fields, claim = _mc_claim("mc_within_sigma", mean, exact, sigma, ens.count, level)
+        report.update({"mc_mean": mean, "mc_stderr": stderr, **fields})
+        claims.append(claim)
     return report, claims, ens
 
 
@@ -240,13 +243,9 @@ def run_harmonic(cfg):
     ]
     if count:
         rep = graphwalk.hitting_verification(net, bv, x, count, seed)
-        exact_stderr = rep.sigma / np.sqrt(count)
-        report.update({"mc_estimate": rep.estimate, "mc_stderr": rep.stderr, "exact": rep.exact,
-                       "exact_stderr": exact_stderr, "capped": rep.capped})
-        claims.append(_claim("capped_walks", rep.capped, 0, "==", 0))
-        claims.append(
-            _claim("hitting_within_sigma", rep.estimate - rep.exact, level * max(exact_stderr, 1e-15))
-        )
+        fields, claim = _mc_claim("hitting_within_sigma", rep.estimate, rep.exact, rep.sigma, count, level)
+        report.update({"mc_estimate": rep.estimate, "mc_stderr": rep.stderr, **fields, "capped": rep.capped})
+        claims += [_claim("capped_walks", rep.capped, 0, "==", 0), claim]
     return report, claims
 
 

@@ -364,9 +364,7 @@ def hitting(R: TransferOperator, values, start: int, count: int, seed: int) -> H
     values = np.asarray(values, dtype=float)
     h = R.harmonic_extension(values)
     second = R.harmonic_extension(values**2)
-    absorbing = np.zeros(R.space.n, dtype=bool)
-    absorbing[R.absorbing_states()] = True
-    finals, capped = simulate_absorbing(R, absorbing, start, count, seed)
+    finals, capped = simulate_absorbing(R, R._absorbing, start, count, seed)
     estimate, stderr = mean_stderr(h[finals])
     exact = float(h[start])
     return HittingReport(exact, float(np.sqrt(max(second[start] - exact**2, 0.0))), estimate, stderr, capped)

@@ -403,18 +403,23 @@ class Observable:
             raise TypeError("expected an Observable")
         _check_same(self.space, other.space)
 
-    def __add__(self, other: "Observable") -> "Observable":
+    def _aligned(self, other: "Observable", op) -> "Observable":
+        """self op other for op np.add or np.subtract: on the values, or into one array aligned at the lower offset."""
         self._like(other)
         if self.values is not None:
-            return Observable.from_values(self.space, self.values + other.values)
+            return Observable.from_values(self.space, op(self.values, other.values))
         low = min(self.offset, other.offset)
         out = np.zeros(max(p.offset + p.coeffs.size for p in (self, other)) - low, dtype=complex)
-        for p in (self, other):
-            out[p.offset - low : p.offset - low + p.coeffs.size] += p.coeffs
+        for p, f in ((self, np.add), (other, op)):
+            part = out[p.offset - low : p.offset - low + p.coeffs.size]
+            f(part, p.coeffs, out=part)
         return Observable._trusted(self.space, out, low)
 
+    def __add__(self, other: "Observable") -> "Observable":
+        return self._aligned(other, np.add)
+
     def __sub__(self, other: "Observable") -> "Observable":
-        return self + (-1.0) * other
+        return self._aligned(other, np.subtract)
 
     def __mul__(self, other):
         if not isinstance(other, Observable):

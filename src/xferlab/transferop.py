@@ -111,6 +111,13 @@ class MatrixOperator(TransferOperator):
     def _classes(self) -> list[np.ndarray]:
         return _closed_classes(self.kernel)
 
+    @cached_property
+    def _absorbing(self) -> np.ndarray:
+        """The mask of the one-state closed classes: the states whose row of K is the point mass at them."""
+        mask = (np.diag(self.kernel) > 0) & (np.count_nonzero(self.kernel, axis=1) == 1)
+        mask.flags.writeable = False
+        return mask
+
     def lifted(self) -> "MatrixOperator":
         """R on a carrier that holds the product of two observables: a finite carrier already does."""
         return self
@@ -164,8 +171,8 @@ class MatrixOperator(TransferOperator):
         return float(mass.sum())
 
     def absorbing_states(self) -> list[int]:
-        """States x with K[x, x] = 1 within 1e-12."""
-        return np.flatnonzero(np.isclose(np.diag(self.kernel), 1.0, atol=1e-12)).tolist()
+        """States x whose row of K is the point mass at x: a row that leaks any mass does not absorb."""
+        return np.flatnonzero(self._absorbing).tolist()
 
     def harmonic_extension(self, values) -> np.ndarray:
         """The h equal to ``values`` on ``absorbing_states`` with Kh = h elsewhere: E_x(values at absorption).
@@ -174,9 +181,7 @@ class MatrixOperator(TransferOperator):
         invertible exactly when every state has a path to an absorbing state on the graph K > 0
         (Kemeny and Snell's fundamental matrix), so the states without one are refused by name first.
         """
-        k = self.kernel
-        absorbing = np.zeros(self.space.n, dtype=bool)
-        absorbing[self.absorbing_states()] = True
+        k, absorbing = self.kernel, self._absorbing
         reach, new = absorbing.copy(), absorbing
         while new.any():  # grow backward from the absorbing set: new states step into the last ones
             new = (k[:, new] > 0).any(axis=1) & ~reach

@@ -12,7 +12,7 @@ cylinder algebra of the circle solenoid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -169,25 +169,16 @@ class ScalingFunction:
         aliasing, and the normalized output is what converges weakly.
         """
         total = self.values.sum() * self.step
-        return ScalingFunction(
-            self.resolution,
-            self.offset,
-            self.values / total,
-            list(self.refinement_residuals),
-        )
+        return replace(self, values=self.values / total, refinement_residuals=list(self.refinement_residuals))
 
 
 def _cascade_step(h: QMFFilter, values: np.ndarray, g: int) -> np.ndarray:
-    """One refinement: phi'(i/g) = sqrt(2) sum_l h_l phi((2i - l g)/g)."""
+    """One refinement: phi'(i/g) = sqrt(2) sum_l h_l phi((2i - l g)/g).  For an even g, tap l adds the even
+    samples shifted by l g / 2, and each shifted copy ends inside the grid of m = (len(h) - 1) g samples."""
     out = np.zeros_like(values)
-    m = values.size
-    src = 2 * np.arange(m)
     for l, c in enumerate(h.coeffs):
-        if c == 0:
-            continue
-        idx = src - l * g
-        ok = (idx >= 0) & (idx < m)
-        out[ok] += SQRT2 * c * values[idx[ok]]
+        if c != 0:
+            out[l * g // 2 : (l * g + values.size) // 2] += SQRT2 * c * values[::2]
     return out
 
 
@@ -208,6 +199,8 @@ def cascade(
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     if h.length < 2:
         raise ValueError("cascade needs a filter of length >= 2")
     if not allow_non_qmf and not qmf_check(h).coeff_residual <= QMF_TOL:
@@ -216,9 +209,8 @@ def cascade(
             "to cascade a negative control"
         )
     g = 2**resolution
-    m = (h.length - 1) * g
-    values = np.zeros(m, dtype=complex)
-    values[: min(g, m)] = 1.0  # indicator of [0, 1) relative to the support start
+    values = np.zeros((h.length - 1) * g, dtype=complex)
+    values[:g] = 1.0  # indicator of [0, 1) relative to the support start
     residuals: list[float] = []
     for _ in range(iterations):
         nxt = _cascade_step(h, values, g)
@@ -228,19 +220,11 @@ def cascade(
 
 
 def translate_orthogonality(sf: ScalingFunction) -> dict[int, complex]:
-    """a(k) = int phi(x) conj(phi(x - k)) dx on the grid, for all overlapping k."""
-    g = 2**sf.resolution
-    max_k = (sf.values.size - 1) // g
-    out: dict[int, complex] = {}
-    for k in range(-max_k, max_k + 1):
-        shift = k * g
-        if shift >= 0:
-            v = sf.values[shift:] * np.conj(sf.values[: sf.values.size - shift])
-        else:
-            v = sf.values[: sf.values.size + shift] * np.conj(sf.values[-shift:])
-        a = complex(v.sum() * sf.step)
-        out[k] = a
-    return out
+    """a(k) = int phi(x) conj(phi(x - k)) dx on the grid, for all overlapping k: the k-th subdiagonal sum of the
+    Gram matrix V V^H, whose row j of V holds the samples on the unit interval [j, j + 1)."""
+    v = sf.values.reshape(-1, 2**sf.resolution)
+    gram = v @ v.conj().T
+    return {k: complex(np.trace(gram, offset=-k) * sf.step) for k in range(1 - len(v), len(v))}
 
 
 def lawton_multiplicity(h: QMFFilter) -> int:
@@ -390,9 +374,8 @@ def representation_check(
 
 
 def _word_basis(chars, depth):
-    words = [[c] for c in chars]
     # keep the basis small: singletons at every coordinate up to the depth cap
-    out = list(words)
+    out = [[c] for c in chars]
     for d in range(2, depth + 1):
         for c in chars:
             out.append([c] + [Observable.constant(c.space, 1.0)] * (d - 2) + [c])

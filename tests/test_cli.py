@@ -53,6 +53,14 @@ INCONSISTENT = {
     "harmonic-start-negative": ("harmonic", {"edges": [[0, 1, 1.0], [1, 2, 2.0]], "vertices": 3, "boundary": [0, 2],
                                              "boundary_values": {"0": 0.0, "2": 1.0}, "start": -2, "count": 100,
                                              "seed": 1}, "state index in [0, 3)"),
+    "space-kind-unknown": ("invariance", {"space": {"kind": "torus"}, "operator": CHAIN_OP},
+                           "unknown space kind 'torus'"),
+    "operator-kind-unknown": ("invariance", {"space": TWO_STATE, "operator": {"kind": "integral"}},
+                              "unknown operator kind 'integral'"),
+    "measure-kind-unknown": ("invariance", {"space": TWO_STATE, "operator": CHAIN_OP, "measure": {"kind": "lebesgue"}},
+                             "unknown measure kind 'lebesgue'"),
+    "observable-without-values-or-fourier": _expect(TWO_STATE, CHAIN_OP, [{"coeffs": [1, 1]}], point=0)
+    + ("word[0] needs 'values' or 'fourier'",),
 }
 
 
@@ -201,6 +209,19 @@ class TestExitCodes:
         code, report = run(tmp_path, "invariance", {"space": TWO_STATE, "operator": CHAIN_OP})
         assert code == 2 and report is None
         assert "certificate" in capsys.readouterr().err
+
+    def test_report_goes_to_stdout_without_output(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(BASE["qmf"]))
+        assert main(["qmf", "--config", str(cfg_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["task"] == "qmf" and report["pass"]
+
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(BASE["qmf"]))
+        assert main(["qmf", "--config", str(cfg_path), "--output", str(tmp_path / "missing" / "r.json")]) == 3
+        assert capsys.readouterr().err.startswith("cannot write output: ")
 
     def test_malformed_json_is_config_error(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -421,6 +421,37 @@ def test_closed_class_count_matches_the_closure(support):
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
 
 
+LEAKING_CHAIN = [[1, 0, 0], [0.3, 0.4, 0.3], [0, 5e-6, 1 - 5e-6]]  # state 2 leaks 5e-6 back to state 1
+
+
+def test_a_leaking_state_does_not_absorb():
+    R = MatrixOperator(FiniteSpace(("a", "b", "c")), LEAKING_CHAIN)
+    assert R.absorbing_states() == [0]
+    h = R.harmonic_extension([1.0, 0.0, 0.0])  # state 0 is the only absorbing state, so every walk ends there
+    assert np.max(np.abs(h - 1.0)) <= 1e-9
+    assert np.max(np.abs(R.kernel @ h - h)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.tuples(
+    st.sampled_from(["support", "absorb", "leak"]),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.sampled_from([1e-13, 5e-6]),
+), min_size=n, max_size=n)))
+def test_absorbing_states_are_the_one_state_closed_classes(rows):
+    n = len(rows)
+    k = np.zeros((n, n))
+    for x, (kind, support, leak) in enumerate(rows):
+        if kind == "support" and any(support):  # a random row; one with support {x} is a point mass
+            k[x] = np.array(support) / sum(support)
+        else:
+            k[x, x] = 1.0
+            if kind == "leak" and n > 1:
+                k[x, x], k[x, (x + 1) % n] = 1.0 - leak, leak
+    R = MatrixOperator(FiniteSpace(tuple(range(n))), k)
+    assert R.absorbing_states() == [int(c[0]) for c in _closed_classes(k) if c.size == 1]
+
+
 def certificate_bound(kernel) -> float:
     return CERTIFICATE_C * len(kernel) * np.finfo(float).eps + np.max(np.abs(kernel.sum(axis=1) - 1.0))
 

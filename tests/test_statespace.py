@@ -247,6 +247,24 @@ DYADIC_WEIGHTS = [
 
 
 class TestDenseLayout:
+    @given(a=coeff_maps(8, COEFF | INT_COEFF), b=coeff_maps(8, COEFF | INT_COEFF))
+    @settings(max_examples=200, deadline=None)
+    def test_difference_is_the_sum_with_the_negation_bit_for_bit(self, a, b):
+        sp = CircleSpace(degree=8)
+        f, g = Observable.from_fourier(sp, a), Observable.from_fourier(sp, b)
+        for x, y in ((f, g), (g, f), (f, f)):
+            got, want = x - y, x + (-1.0) * y
+            assert (got.offset, got.coeffs.tobytes()) == (want.offset, want.coeffs.tobytes())
+        assert (f - f).coeffs.size == 0 and (f - f).offset == 0  # the zero function
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_difference_is_the_sum_with_the_negation_bit_for_bit(self, vals):
+        sp = FiniteSpace(("a", "b", "c"))
+        f, g = Observable.from_values(sp, vals[:3]), Observable.from_values(sp, vals[3:])
+        for x, y in ((f, g), (g, f), (f, f)):
+            assert (x - y).values.tobytes() == (x + (-1.0) * y).values.tobytes()
+
     @given(a=coeff_maps(12), b=coeff_maps(12))
     @settings(max_examples=200, deadline=None)
     def test_product_agrees_with_the_dict_loop_to_the_summation_order_bound(self, a, b):

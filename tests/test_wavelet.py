@@ -1,5 +1,6 @@
 """Filters, cascade approximation, and the wavelet representation."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -119,7 +120,60 @@ class TestFilters:
         assert rep.normalization_residual > 0.4  # but sum h = 1 != sqrt(2)
 
 
+def correlations_by_shifts(sf) -> dict[int, complex]:
+    """Oracle: a(k) as the samples times the conjugate samples k unit intervals earlier, one lag at a time."""
+    g, v = 2**sf.resolution, sf.values
+    n = v.size // g
+
+    def lead(k):  # the samples a lag of k unit intervals skips at the start
+        return max(k, 0) * g
+
+    return {k: complex(np.sum(v[lead(k) : v.size - lead(-k)] * np.conj(v[lead(-k) : v.size - lead(k)])) * sf.step)
+            for k in range(1 - n, n)}
+
+
+TAP = 0.7071067811865476
+# SHA-256 over (J, n) in {1, 6, 11} x {0, 1, 14} of cascade(h, n, J).values and its refinement_residuals:
+# filter, the QMF waiver, digest
+PINNED_CASCADES = {
+    "haar": (haar_filter(), False, "c709984117b1246f95285e75a10b10d8a2e0188727e3754bbfe159fc074af749"),
+    "d4": (daubechies4(), False, "11880c8302f213f4a9ca6e0bbf835f5d2c0a8f40bb18f2c563c8d9a542c56bb5"),
+    "stretched-haar-2": (stretched_haar(2), True, "68359825d7894a165700dc9f9ee8001a8e68ea81d91dcd02143d1a5da6863ddb"),
+    "complex-unnormalised": (QMFFilter.make([1j * TAP, TAP], require_normalization=False), False,
+                             "8e6f0397f5788466627eb608d9bc47ce5eb80a29db7800ae4d20493c5d0f41ed"),
+    "interior-zero-tap": (QMFFilter.make([0.5, 0.0, 0.6, SQRT2 - 1.1]), True,
+                          "f87035754c3a7c69a64efbdfc2438201cd848b946ee6726dc7a0dfcdf5b2e015"),
+    # complex correlations over three unit intervals: a(-k) = conj(a(k)) tells the two subdiagonals apart
+    "complex-four-taps": (QMFFilter.make([0.5, 0.3j, 0.4, 0.2], require_normalization=False), True,
+                          "9acb732780cd8b2b5265053170c630722d677fa435c8dea1c72aeb10c3fbc368"),
+}
+
+
 class TestCascade:
+    @pytest.mark.parametrize("h, waive, digest", PINNED_CASCADES.values(), ids=PINNED_CASCADES.keys())
+    def test_iterates_and_residuals_are_pinned(self, h, waive, digest):
+        d = hashlib.sha256()
+        for resolution in (1, 6, 11):
+            for iterations in (0, 1, 14):
+                sf = cascade(h, iterations, resolution, allow_non_qmf=waive)
+                d.update(sf.values.tobytes())
+                d.update(np.asarray(sf.refinement_residuals, dtype=float).tobytes())
+        assert d.hexdigest() == digest
+
+    @pytest.mark.parametrize("h, waive", [c[:2] for c in PINNED_CASCADES.values()], ids=PINNED_CASCADES.keys())
+    def test_gram_correlations_match_the_shifted_products(self, h, waive):
+        sf = cascade(h, 14, 6, allow_non_qmf=waive)
+        got, want = translate_orthogonality(sf), correlations_by_shifts(sf)
+        assert got.keys() == want.keys()
+        assert max(abs(got[k] - want[k]) for k in got) <= 1e-14 * abs(want[0])
+
+    def test_normalized_keeps_its_own_residuals(self):
+        sf = cascade(stretched_haar(2), 3, resolution=4, allow_non_qmf=True)
+        unit = sf.normalized()
+        assert unit.refinement_residuals == sf.refinement_residuals
+        assert unit.refinement_residuals is not sf.refinement_residuals
+        assert (unit.resolution, unit.offset) == (sf.resolution, sf.offset) and unit.integral() == pytest.approx(1.0)
+
     def test_haar_cascade_is_exact_after_one_step(self):
         sf = cascade(haar_filter(), 3, resolution=6)
         assert np.allclose(sf.values, 1.0)
