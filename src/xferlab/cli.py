@@ -103,6 +103,8 @@ def run_sample(cfg):
     word = field(cfg, "word", list, None)
     if word is not None:
         word = _load_word(space, word)
+        if word.depth > depth:
+            raise ValueError(f"word has depth {word.depth}, more than the sampled depth {depth}")
     root = field(cfg, "root", object)
     if isinstance(root, dict):
         root = measure_from_json(space, root, R, "root")

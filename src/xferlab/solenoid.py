@@ -36,7 +36,8 @@ from .transferop import TransferOperator
 
 @dataclass(frozen=True, eq=False)
 class SolenoidWord:
-    """Truncated backward orbit; the compatibility invariant is checked exactly."""
+    """Truncated backward orbit; r(x_{k+1}) = x_k is checked exactly by applying r to the entries: state indices,
+    or ``Fraction`` angles that ``space.point`` reduced into [0, 1), where it reads 2 x_{k+1} - x_k in Z."""
 
     space: object
     entries: tuple
@@ -45,7 +46,8 @@ class SolenoidWord:
         entries = tuple(self.space.point(x) for x in self.entries)
         if len(entries) < 1:
             raise ValueError("a solenoid word needs at least one entry")
-        if self.space.incompatible_transitions([entries]):
+        x = np.array(entries)
+        if np.any(self.space.forward(x[1:]) != x[:-1]):
             raise ValueError("compatibility r(x_{k+1}) = x_k fails")
         object.__setattr__(self, "entries", entries)
 

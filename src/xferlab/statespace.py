@@ -101,16 +101,13 @@ class FiniteSpace:
     def random_observable(self, rng, max_degree: int = 8) -> "Observable":
         return Observable.from_values(self, rng.standard_normal(self.n))
 
-    def incompatible_transitions(self, words, den: int = 1) -> int:
-        """Transitions x_k -> x_{k+1} with r(x_{k+1}) != x_k in equal-length words of indices (den, the path
-        layout's denominator, is 1 here)."""
-        x = np.atleast_2d(np.asarray(words, dtype=np.intp))
-        return int(np.count_nonzero(self.forward(x[:, 1:]) != x[:, :-1]))
-
     # a path array (``PathEnsemble.paths``) holds state indices, which are their own exact and evaluable points
     denominator = staticmethod(lambda root, depth: 1)
     points = coordinates = staticmethod(lambda paths, den: paths)
-    incompatible_paths = incompatible_transitions
+
+    def incompatible_paths(self, paths, den: int) -> int:
+        """Transitions x_k -> x_{k+1} with r(x_{k+1}) != x_k in rows of state indices (den is 1 here)."""
+        return int(np.count_nonzero(self.forward(paths[:, 1:]) != paths[:, :-1]))
 
 
 @dataclass(frozen=True)
@@ -182,13 +179,6 @@ class CircleSpace:
         """Coefficients c_n = a_n + i b_n for |n| <= d, from the normals a_-d, b_-d, ..., a_d, b_d in that order."""
         d = min(max_degree, self.degree // 8) or 1
         return Observable.from_coeffs(self, rng.standard_normal((2 * d + 1, 2)).view(complex)[:, 0], -d)
-
-    @staticmethod
-    def incompatible_transitions(words) -> int:
-        """Transitions x_k -> x_{k+1} with 2 x_{k+1} - x_k not an integer in equal-length words of Fraction
-        angles (any representatives mod 1), in exact Fraction arithmetic."""
-        x = np.atleast_2d(np.asarray(words, dtype=object))
-        return int(np.count_nonzero((2 * x[:, 1:] - x[:, :-1]) % 1))
 
     @staticmethod
     def denominator(root: Fraction, depth: int) -> int:
@@ -329,6 +319,8 @@ class Observable:
         arr = np.asarray(values)
         if arr.shape != (space.n,):
             raise ValueError("value vector length must match the state count")
+        if arr.dtype.kind not in "iufc":  # a bool array would add as a logical or, an object one as Python objects
+            raise ValueError(f"values must be numbers, not dtype {arr.dtype}")
         return cls(space, values=arr)
 
     @classmethod

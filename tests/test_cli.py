@@ -308,15 +308,19 @@ class TestExitCodes:
         assert code == 2 and report is None
         assert err.startswith("invalid config: ") and name in err
 
-    def test_malformed_word_is_refused_before_sampling(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("changes, fragment", [
+        ({"word": [{"values": [1, 0]}, {"values": [1, "0"]}]}, "word[1]"),
+        ({"depth": 2, "word": ONE_ON_TWO_STATES * 3}, "word has depth 3, more than the sampled depth 2"),
+    ], ids=["non-number", "deeper-than-depth"])
+    def test_malformed_word_is_refused_before_sampling(self, tmp_path, capsys, monkeypatch, changes, fragment):
         from xferlab import pathmeasure
 
         def never(*args):
             raise AssertionError("sampled before the config was read")
 
         monkeypatch.setattr(pathmeasure, "sample_paths", never)
-        code, _ = run(tmp_path, *_with("sample", word=[{"values": [1, 0]}, {"values": [1, "0"]}]))
-        assert code == 2
+        code, _ = run(tmp_path, *_with("sample", **changes))
+        assert code == 2 and fragment in capsys.readouterr().err
 
     def test_cli_import_does_not_load_jsonschema(self):
         env = {**os.environ, "PYTHONPATH": str(Path(xferlab.__file__).resolve().parents[1])}

@@ -33,6 +33,7 @@ REFUSALS = {
     "endo-too-short": (lambda: X.FiniteSpace(("a", "b"), endo=(0,)), ValueError, "image to every state"),
     "circle-degree-zero": (lambda: X.CircleSpace(degree=0), ValueError, "degree must be >= 1"),
     "values-too-long": (lambda: X.Observable.from_values(TWO, [1.0, 2.0, 3.0]), ValueError, "match the state count"),
+    "values-boolean": (lambda: X.Observable.from_values(TWO, [True, False]), ValueError, "not dtype bool"),
     "degree-on-finite": (lambda: _one(TWO).degree, TypeError, "only defined on the circle"),
     "add-a-number": (lambda: _one(TWO) + 1.0, TypeError, "expected an Observable"),
     "kernel-not-square": (lambda: X.MatrixOperator(TWO, [[1.0]]), ValueError, "must be square"),
