@@ -181,6 +181,21 @@ def test_one_denominator_count_matches_the_fraction_oracle(case):
     assert CircleSpace.incompatible_paths(paths, den) == oracle
 
 
+@settings(max_examples=200, deadline=None)
+@given(finite_words())
+def test_finite_path_count_matches_the_endomorphism_oracle(case):
+    space, words = case
+    paths = np.array(words, dtype=np.intp).reshape(len(words), -1 if words else 1)
+    oracle = sum(space.endo[b] != a for w in words for a, b in zip(w, w[1:]))
+    assert space.incompatible_paths(paths, 1) == oracle
+
+
+@pytest.mark.parametrize("space", [FiniteSpace(("a", "b"), endo=(1, 0)), CircleSpace()], ids=["finite", "circle"])
+def test_an_empty_ensemble_has_no_incompatible_transition(space):
+    den = space.denominator(Fraction(1, 3), 3)
+    assert space.incompatible_paths(np.zeros((0, 3), dtype=np.int64), den) == 0
+
+
 def test_a_million_branching_transitions_read_no_violation():
     # from root 0 under Haar every path is constant; D4 from 1/3 branches at every step
     d4 = ruelle_from_filter(CircleSpace(), daubechies4().m0_coeffs())
