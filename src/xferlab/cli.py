@@ -3,7 +3,8 @@
 Each subcommand reads a config file, runs the corresponding computation, and
 writes a JSON report whose ``claims`` list carries one named check with its
 value, tolerance, comparison rule, and pass flag.  Exit status: 0 all claims
-pass, 1 a claim fails numerically, 2 the config is invalid, 3 I/O failure.
+pass, 1 a claim fails numerically, 2 the config is invalid, 3 I/O failure, 4 a
+crash (any other exception from a runner, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
@@ -355,6 +356,9 @@ def main(argv=None) -> int:
     except (ValueError, XferlabError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a crash, not a failed claim
+        traceback.print_exc()
+        return 4
 
     report = {
         "task": args.task,
@@ -381,13 +385,15 @@ def _write_csv(path, table) -> None:
     if isinstance(table, pathmeasure.PathEnsemble):
         table.to_csv(path)
     else:
-        # np.savetxt's bytes, formatting each run of bit-equal rows once: a float orbit ends in one
+        # np.savetxt's bytes, each run of bit-equal rows (a float orbit ends in one) formatted once, in bytes
         bits = table.view(np.uint64)
         starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]).tolist()
-        with open(path, "w") as fh:
-            fh.write("t,re_z,im_z\n")
+        with open(path, "wb") as fh:
+            fh.write(b"t,re_z,im_z\n")
             for a, b in zip(starts, starts[1:] + [len(table)]):
-                fh.writelines(itertools.repeat("%.18e,%.18e,%.18e\n" % tuple(table[a]), b - a))
+                line = b"%.18e,%.18e,%.18e\n" % tuple(table[a].tolist())
+                for left in range(b - a, 0, -4096):
+                    fh.write(line * min(left, 4096))
 
 
 if __name__ == "__main__":

@@ -156,7 +156,7 @@ class PathEnsemble:
     def functional_mean(self, f) -> tuple[float, float]:
         """Monte Carlo mean and standard error of a cylinder word or a black-box path function.
 
-        A word is evaluated one coordinate at a time across all paths (``space.coordinates``); a
+        A word is evaluated one coordinate at a time across all paths (``space.evaluate``); a
         callable is called once per path of ``samples`` and must return a scalar.
         """
         if isinstance(f, CylinderFunctional):
@@ -164,7 +164,7 @@ class PathEnsemble:
                 raise ValueError(f"a word of depth {f.depth} needs paths of at least that depth")
             vals = np.ones(self.count, dtype=complex)
             for j, phi in enumerate(f.word):
-                vals *= phi(self.space.coordinates(self.paths[:, j], self.denominator))
+                vals *= self.space.evaluate(phi, self.paths[:, j], self.denominator)
         else:
             vals = np.fromiter((f(p) for p in self.samples), complex, self.count)
         return mean_stderr(vals.real)

@@ -14,6 +14,7 @@ entry; README.md says which identities on it are exact in floating point.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +28,10 @@ from .errors import (
     NoEndomorphismError,
     NormalizationError,
 )
+from .rng import CHUNK
 
 DEFAULT_DEGREE = 64
+HORNER_SPLIT = 64  # ``horner`` evaluates more coefficients than this in blocks
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,8 @@ class FiniteSpace:
 
     # a path array (``PathEnsemble.paths``) holds state indices, which are their own exact and evaluable points
     denominator = staticmethod(lambda root, depth: 1)
-    points = coordinates = staticmethod(lambda paths, den: paths)
+    points = staticmethod(lambda paths, den: paths)
+    evaluate = staticmethod(lambda phi, paths, den: phi(paths))  # phi at the points of a path array: a gather
 
     def incompatible_paths(self, paths, den: int) -> int:
         """Transitions x_k -> x_{k+1} with r(x_{k+1}) != x_k in rows of state indices (den is 1 here)."""
@@ -192,9 +196,11 @@ class CircleSpace:
         return np.fromiter((Fraction(n, den) for n in u.tolist()), object, u.size)[inv].reshape(np.shape(paths))
 
     @staticmethod
-    def coordinates(paths, den: int):
-        """The floats N / den, each float(Fraction(N, den)): both divisions round correctly (README.md)."""
-        return paths / den
+    def evaluate(phi: "Observable", paths, den: int) -> np.ndarray:
+        """phi at the angles N / den of an integer array: once at the floats N / den of the distinct N (each
+        float(Fraction(N, den)), README.md), gathered back; evaluation is elementwise, so the bits are kept."""
+        u, inv = np.unique(paths, return_inverse=True)
+        return phi(u / den)[inv].reshape(np.shape(paths))
 
     @staticmethod
     def incompatible_paths(paths, den: int) -> int:
@@ -281,18 +287,37 @@ def doubled(coeffs: np.ndarray) -> np.ndarray:
 
 
 def horner(coeffs: np.ndarray, offset: int, z):
-    """sum_j coeffs[j] z^(offset + j) at one unit-modulus point z or an array of them.
+    """sum_j coeffs[j] z^(offset + j) at one unit-modulus point z or an array of them, vectorised across points.
 
-    Horner's rule runs over the coefficients and is vectorised across the
-    points, so memory stays O(points) at any degree.  A point is evaluated as a
-    one-entry array: numpy rounds scalar and array products differently, and a
-    point must get the bits it gets inside an array.
+    Up to ``HORNER_SPLIT`` coefficients Horner's rule runs over them one at a time; past that it runs over
+    all blocks of b = ceil(sqrt(n)) coefficients at once, and the block values are combined by Horner's
+    rule in z^b (split Horner: about 2 sqrt(n) steps, the same eps n l1 error bound), on slices of at most
+    ``CHUNK`` points and 2^16 block values, so memory stays O(points).  A point is evaluated as a one-entry
+    array: numpy rounds scalar and array products differently, and a point must get its bits in an array.
     """
     z = np.asarray(z)
-    pts = np.atleast_1d(z)
-    acc = 0j
-    for c in reversed(coeffs.tolist()):
-        acc = acc * pts + c
+    pts = z.reshape(-1)
+    if coeffs.size <= HORNER_SPLIT:
+        acc = 0j
+        for c in reversed(coeffs.tolist()):
+            acc = acc * pts + c
+    else:
+        b = math.isqrt(coeffs.size - 1) + 1
+        blocks = np.zeros((-(-coeffs.size // b), b), dtype=complex)
+        blocks.reshape(-1)[: coeffs.size] = coeffs
+        steps = blocks.T[::-1, :, None]  # step k: coefficient b - 1 - k of every block
+        width = min(CHUNK, 2**16 // steps.shape[1])
+        acc = np.empty(pts.shape, dtype=complex)
+        for start in range(0, pts.size, width):
+            w = pts[start : start + width]
+            part = np.repeat(steps[0], w.size, axis=1)
+            for c in steps[1:]:
+                part *= w
+                part += c
+            wb, value = w**b, part[-1]
+            for block in part[-2::-1]:
+                value = value * wb + block
+            acc[start : start + width] = value
     return (acc * pts**offset).reshape(z.shape)[()]
 
 

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConvergenceError, NormalizationError, ReducibleChainWarning
-from .rng import chunks
+from .rng import CHUNK, chunks
 from .statespace import (
     CircleSpace,
     FiniteSpace,
@@ -220,7 +220,8 @@ def simulate_absorbing(
 
     Returns (final state per walk, number of walks that hit the cap); capped walks are reported,
     never silently dropped, with their state at the cap.  A start outside [0, n) or a count below 1
-    raises ValueError.  Each step draws one uniform for each live walk, in walk order, on R's table;
+    raises ValueError.  All chunks step together: each draws one uniform for each of its live walks, in
+    walk order, from its own stream into one buffer, and one step on R's table moves every live walk;
     the live walks are kept compacted, and a walk's final state is written when it absorbs.
     """
     if not 0 <= start < R.space.n or count < 1:
@@ -228,21 +229,23 @@ def simulate_absorbing(
     finals = np.full(count, int(start), dtype=np.intp)
     if absorbing[start]:
         return finals, 0
-    table, capped = R._table, 0
-    for rows, rng in chunks(count, seed):
-        live = np.arange(rows.start, rows.stop)  # the walks still moving, in walk order, and their states x
-        x = finals[live]
-        for _ in range(STEP_CAP):
-            if not live.size:
-                break
-            x = _next_states(table, x, rng.random(live.size))
-            done = absorbing[x]
-            if done.any():
-                finals[live[done]] = x[done]
-                live, x = live[~done], x[~done]
-        finals[live] = x
-        capped += live.size
-    return finals, capped
+    streams = [rng for _, rng in chunks(count, seed)]
+    live, x, u = np.arange(count), finals.copy(), np.empty(count)  # the walks still moving, in walk order
+    for _ in range(STEP_CAP):
+        if not live.size:
+            break
+        # the live walks of chunk i are live[edges[i]:edges[i + 1]]
+        edges = np.searchsorted(live, np.arange(len(streams) + 1) * CHUNK).tolist()
+        for rng, a, b in zip(streams, edges, edges[1:]):
+            if a < b:
+                rng.random(out=u[a:b])
+        x = _next_states(R._table, x, u[: live.size])
+        done = absorbing[x]
+        if done.any():
+            finals[live[done]] = x[done]
+            live, x = live[~done], x[~done]
+    finals[live] = x
+    return finals, live.size
 
 
 def _cdf_table(kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

@@ -210,6 +210,19 @@ class TestExitCodes:
         assert code == 2 and report is None
         assert "certificate" in capsys.readouterr().err
 
+    def test_a_crash_in_a_runner_is_exit_four_with_its_traceback(self, tmp_path, monkeypatch, capsys):
+        from xferlab import cli
+
+        def crash(cfg):
+            raise RuntimeError("runner crashed")
+
+        monkeypatch.setitem(cli.RUNNERS, "qmf", crash)
+        code, report = run(tmp_path, "qmf", BASE["qmf"])
+        assert code == 4 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):") and "in crash" in err
+        assert err.rstrip().endswith("RuntimeError: runner crashed")
+
     def test_report_goes_to_stdout_without_output(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(BASE["qmf"]))

@@ -341,6 +341,21 @@ def test_absorbing_walks_equal_the_per_step_loop(chain, count, seed, cap):
     assert capped == expected_capped
 
 
+@settings(max_examples=25, deadline=None)
+@given(absorbing_chains(), st.integers(1, 2), st.integers(-2, 2), st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_chunks_stepping_together_equal_the_per_chunk_loop(chain, chunks_, edge, seed, cap):
+    """Counts within two walks of a chunk edge, where a chunk's walks may all absorb or all be capped
+    while the next chunk's still move: each chunk's stream gives the same finals as its own loop."""
+    k, absorbing, start = chain
+    count = chunks_ * CHUNK + edge
+    R = MatrixOperator(FiniteSpace(tuple(range(len(k)))), k)
+    with mock.patch.object(transferop, "STEP_CAP", cap):
+        finals, capped = simulate_absorbing(R, absorbing, start, count, seed)
+    expected, expected_capped = absorbing_by_steps(k, absorbing, start, count, seed, cap)
+    assert np.array_equal(finals, expected)
+    assert capped == expected_capped
+
+
 class TestOperatorFacts:
     """A matrix operator's kernel is read-only, and its fixed facts are computed once, on first use."""
 

@@ -1,6 +1,8 @@
 """Carrier-level algebra: observables, measures, endomorphism composition."""
 
 import cmath
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from xferlab import (
     ruelle_from_filter,
     strong_invariance_check,
 )
+from xferlab.pathmeasure import CylinderFunctional, mean_stderr, sample_paths
 from xferlab.serialize import space_from_json
-from xferlab.statespace import worst
+from xferlab.statespace import HORNER_SPLIT, horner, worst
 
 
 def convolve_coeffs(a, b) -> dict[int, complex]:
@@ -385,6 +388,104 @@ class TestDenseLayout:
         assert np.max(np.abs(f(theta) - direct)) <= 1e-12 * l1
         assert abs(f(Fraction(3, 64)) - direct[3]) <= 1e-12 * l1
         assert abs(f(complex(np.exp(2j * np.pi * 3 / 64))) - direct[3]) <= 1e-12 * l1
+
+
+def loop_horner(coeffs, offset, z):
+    """Reference: Horner's rule one coefficient at a time, the evaluator up to HORNER_SPLIT coefficients."""
+    z = np.asarray(z)
+    pts = np.atleast_1d(z)
+    acc = 0j
+    for c in reversed(coeffs.tolist()):
+        acc = acc * pts + c
+    return (acc * pts**offset).reshape(z.shape)[()]
+
+
+def exact_angle_sum(coeffs, offset, p, q) -> complex:
+    """Oracle at e^(2 pi i p/q): term j at the exact angle ((offset + j) p mod q) / q, real and imaginary
+    parts each summed by math.fsum, so its own error is a few eps per term."""
+    theta = 2 * np.pi * (((offset + np.arange(coeffs.size)) * p) % q / q)
+    terms = coeffs * (np.cos(theta) + 1j * np.sin(theta))
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def normal_coeffs(n, seed):
+    return np.random.default_rng(seed).standard_normal((n, 2)).view(complex)[:, 0]
+
+
+ANGLES = st.integers(1, 2**20).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
+
+
+def unit_point(t: Fraction) -> complex:
+    """e^(2 pi i t) to about eps / 2: the quarter turns of t are taken exactly, the rest is an angle of at
+    most pi / 4."""
+    k = round(4 * t)
+    return cmath.exp(2j * math.pi * float(t - Fraction(k, 4))) * 1j ** (k % 4)
+
+
+def on_circle(angles):
+    return np.exp(2j * np.pi * np.array([float(t) for t in angles]))
+
+
+class TestSplitHorner:
+    """``horner`` is the one-coefficient loop up to HORNER_SPLIT coefficients and split Horner past it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=st.lists(st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
+                           max_size=HORNER_SPLIT),
+           offset=st.integers(-80, 16), angles=st.lists(ANGLES, min_size=1, max_size=6))
+    def test_up_to_the_split_it_is_the_loop_bit_for_bit(self, coeffs, offset, angles):
+        c, z = np.array(coeffs, dtype=complex), on_circle(angles)
+        assert horner(c, offset, z).tobytes() == loop_horner(c, offset, z).tobytes()
+        assert np.asarray(horner(c, offset, z[0])).tobytes() == np.asarray(loop_horner(c, offset, z[0])).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(HORNER_SPLIT + 1, 4097), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           angles=st.lists(ANGLES, min_size=1, max_size=4))
+    def test_past_the_split_it_is_within_eps_n_l1_of_the_exact_angles(self, n, data, seed, angles):
+        """Indices within [-n, n), as on a carrier whose degree bound admits n coefficients, at points
+        accurate to about eps / 2, so that the point's own error, times an index, stays below the bound."""
+        offset = data.draw(st.integers(-n, 0), label="offset")
+        c = normal_coeffs(n, seed)
+        bound = np.finfo(float).eps * n * np.abs(c).sum()
+        values = horner(c, offset, np.array([unit_point(t) for t in angles]))
+        for t, value in zip(angles, values):
+            assert abs(value - exact_angle_sum(c, offset, t.numerator, t.denominator)) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(HORNER_SPLIT + 1, 700), offset=st.integers(-700, 0), seed=st.integers(0, 2**32 - 1),
+           size=st.integers(1, 9000), picks=st.lists(st.integers(0, 8999), min_size=1, max_size=5))
+    def test_past_the_split_a_point_evaluates_to_its_bits_in_an_array(self, n, offset, seed, size, picks):
+        """At any position of an array that spans several slices, and as a scalar or a one-entry array."""
+        c = normal_coeffs(n, seed)
+        z = np.exp(2j * np.pi * np.random.default_rng(seed).random(size))
+        values = horner(c, offset, z)
+        for i in (k % size for k in picks):
+            assert horner(c, offset, z[i]) == values[i] == horner(c, offset, z[i : i + 1])[0]
+            assert horner(c, offset, z[i : i + 2])[0] == values[i]
+
+    def test_memory_stays_within_twice_the_loop(self):
+        c, z = normal_coeffs(2049, 1), np.exp(2j * np.pi * np.random.default_rng(2).random(2**16))
+        peaks = []
+        for evaluate in (loop_horner, horner):
+            tracemalloc.start()
+            try:
+                evaluate(c, -1024, z)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+    def test_a_circle_mean_of_a_long_word_is_the_per_path_evaluation_bit_for_bit(self):
+        """Each coordinate once per distinct numerator, gathered back, against each path's own point."""
+        space = CircleSpace(degree=64)
+        R = ruelle_from_filter(space, daubechies4().m0_coeffs())
+        long = Observable.from_coeffs(space, normal_coeffs(81, 3), -40)  # 81 coefficients, past the split
+        word = CylinderFunctional((long, Observable.character(space, 1) + long.conj(), long))
+        ens = sample_paths(R, Fraction(1, 3), 7, 600, 5)
+        vals = np.ones(ens.count, dtype=complex)
+        for j, phi in enumerate(word.word):
+            vals *= np.array([phi(t) for t in ens.samples[:, j]])
+        assert ens.functional_mean(word) == mean_stderr(vals.real)
 
 
 def test_worst_reads_zero_on_no_terms_and_nan_on_a_nan_term():
